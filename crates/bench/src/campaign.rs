@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bft_core::workload::WorkloadConfig;
-use bft_protocols::registry::{registry, ProtocolEntry, ProtocolId};
+use bft_protocols::registry::ProtocolId;
 use bft_protocols::suite::semantic_config;
 use bft_protocols::Scenario;
 use bft_sim::campaign::{check_outcome_with_semantics, generate_case, shrink_case, suspects_with};
@@ -202,12 +202,12 @@ impl CampaignReport {
     }
 }
 
-/// The chaos envelope for one registry entry: the standard profile scoped
+/// The chaos envelope for one protocol: the standard profile scoped
 /// down to what the protocol claims to tolerate.
-pub fn profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> ChaosProfile {
-    let n = (entry.min_n)(f);
+pub fn profile_for(id: ProtocolId, f: usize, clients: u64) -> ChaosProfile {
+    let n = id.min_n(f);
     let mut p = ChaosProfile::standard(n, f, clients);
-    let tol = entry.tolerance;
+    let tol = id.tolerance();
     if !tol.crashes {
         p.crash_victims.clear();
         p.max_victims = 0;
@@ -231,23 +231,23 @@ pub fn profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> ChaosProfil
     p
 }
 
-/// The Byzantine envelope for one registry entry: a clean network with the
+/// The Byzantine envelope for one protocol: a clean network with the
 /// adversary budget scoped to what the protocol's measured envelope
 /// tolerates, further narrowed by an optional CLI attack filter.
 pub fn byz_profile_for(
-    entry: &ProtocolEntry,
+    id: ProtocolId,
     f: usize,
     clients: u64,
     attack_filter: Option<&[AttackKind]>,
 ) -> ChaosProfile {
-    let n = (entry.min_n)(f);
+    let n = id.min_n(f);
     let mut p = ChaosProfile::byzantine(n, f, clients);
     // `BFT_BYZ_UNSCOPED=1` skips the per-protocol envelope so every
     // protocol faces the full attack gallery — the measurement mode that
     // produced the envelopes in the registry (per-attack sweeps under this
     // flag; see EXPERIMENTS.md "Byzantine tolerance envelopes").
     if std::env::var_os("BFT_BYZ_UNSCOPED").is_none() {
-        p.adversary = p.adversary.restrict(&entry.byz_tolerance.kinds());
+        p.adversary = p.adversary.restrict(&id.byzantine_tolerance().kinds());
     }
     if let Some(kinds) = attack_filter {
         p.adversary = p.adversary.restrict(kinds);
@@ -255,10 +255,10 @@ pub fn byz_profile_for(
     p
 }
 
-/// The recovery envelope for one registry entry: a clean network with the
+/// The recovery envelope for one protocol: a clean network with the
 /// churn budget scoped to what the protocol's measured envelope tolerates.
-pub fn recovery_profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> ChaosProfile {
-    let n = (entry.min_n)(f);
+pub fn recovery_profile_for(id: ProtocolId, f: usize, clients: u64) -> ChaosProfile {
+    let n = id.min_n(f);
     let mut p = ChaosProfile::recovery_churn(n, f, clients);
     // `BFT_REC_UNSCOPED=1` skips the per-protocol envelope so every
     // protocol faces the full churn gallery — the measurement mode that
@@ -267,7 +267,7 @@ pub fn recovery_profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> Ch
     if std::env::var_os("BFT_REC_UNSCOPED").is_some() {
         return p;
     }
-    let rec = entry.rec_tolerance;
+    let rec = id.recovery_tolerance();
     if !rec.durable {
         p.recovery = RecoveryBudget::none();
     }
@@ -277,7 +277,7 @@ pub fn recovery_profile_for(entry: &ProtocolEntry, f: usize, clients: u64) -> Ch
     // Churning the fixed leader of a leader-pinned protocol is the chaos
     // campaign's leader-crash axis, not a recovery finding — spare it
     // here exactly as `profile_for` does.
-    if !entry.tolerance.leader_crash {
+    if !id.tolerance().leader_crash {
         p.recovery.pool.retain(|v| *v != 0);
     }
     p
@@ -291,16 +291,13 @@ pub fn scenario_for(cfg: &CampaignConfig, case: &ChaosCase) -> Scenario {
         .with_pre_gst_drop(case.pre_gst_drop)
         .with_duplication(case.dup_prob)
         .with_reordering(case.reorder_prob);
-    Scenario::builder()
-        .n_for_f(cfg.f)
-        .clients(cfg.clients)
-        .requests(cfg.requests_per_client)
-        .seed(case.seed)
-        .network(network)
-        .workload(cfg.workload)
-        .faults(case.plan.clone())
-        .adversaries(case.adversaries.clone())
-        .build()
+    Scenario::small(cfg.f)
+        .with_load(cfg.clients, cfg.requests_per_client)
+        .with_seed(case.seed)
+        .with_network(network)
+        .with_workload(cfg.workload)
+        .with_faults(case.plan.clone())
+        .with_adversaries(case.adversaries.clone())
 }
 
 /// Run one case against an arbitrary runner (the sabotage tests inject
@@ -346,40 +343,32 @@ pub fn run_case_with(
     }
 }
 
-/// Run one (registry entry, seed) case with the entry's default options.
-pub fn run_case(entry: &ProtocolEntry, cfg: &CampaignConfig, seed: u64) -> CaseResult {
+/// Run one (protocol, seed) case with the protocol's default options.
+pub fn run_case(id: ProtocolId, cfg: &CampaignConfig, seed: u64) -> CaseResult {
     let profile = if cfg.recovery {
-        recovery_profile_for(entry, cfg.f, cfg.clients as u64)
+        recovery_profile_for(id, cfg.f, cfg.clients as u64)
     } else if cfg.byzantine {
-        byz_profile_for(
-            entry,
-            cfg.f,
-            cfg.clients as u64,
-            cfg.attack_filter.as_deref(),
-        )
+        byz_profile_for(id, cfg.f, cfg.clients as u64, cfg.attack_filter.as_deref())
     } else {
-        profile_for(entry, cfg.f, cfg.clients as u64)
+        profile_for(id, cfg.f, cfg.clients as u64)
     };
-    run_case_with(|s| entry.id.run(s), entry.id, cfg, &profile, seed)
+    run_case_with(|s| id.run(s), id, cfg, &profile, seed)
 }
 
 /// Run the full campaign on `threads` workers (the `BFT_BENCH_THREADS`
 /// convention of [`crate::parallel`]); results come back in (protocol,
 /// seed) order whatever the thread count.
 pub fn run_campaign(cfg: &CampaignConfig, threads: usize) -> CampaignReport {
-    let entries: Vec<ProtocolEntry> = registry()
+    let jobs: Vec<(ProtocolId, u64)> = ProtocolId::ALL
         .into_iter()
-        .filter(|e| cfg.protocols.contains(&e.id))
-        .collect();
-    let jobs: Vec<(&ProtocolEntry, u64)> = entries
-        .iter()
-        .flat_map(|e| cfg.seeds.iter().map(move |&s| (e, s)))
+        .filter(|id| cfg.protocols.contains(id))
+        .flat_map(|id| cfg.seeds.iter().map(move |&s| (id, s)))
         .collect();
 
     let threads = threads.clamp(1, jobs.len().max(1));
     let results = if threads <= 1 {
         jobs.iter()
-            .map(|&(entry, seed)| run_case(entry, cfg, seed))
+            .map(|&(id, seed)| run_case(id, cfg, seed))
             .collect()
     } else {
         let next = AtomicUsize::new(0);
@@ -390,10 +379,10 @@ pub fn run_campaign(cfg: &CampaignConfig, threads: usize) -> CampaignReport {
                         let mut local = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(entry, seed)) = jobs.get(i) else {
+                            let Some(&(id, seed)) = jobs.get(i) else {
                                 break;
                             };
-                            local.push((i, run_case(entry, cfg, seed)));
+                            local.push((i, run_case(id, cfg, seed)));
                         }
                         local
                     })
@@ -416,29 +405,22 @@ mod tests {
 
     #[test]
     fn tolerance_scoping_shapes_the_profile() {
-        let reg = registry();
-        let cheap = reg.iter().find(|e| e.id == ProtocolId::Cheap).unwrap();
-        let p = profile_for(cheap, 1, 1);
+        let p = profile_for(ProtocolId::Cheap, 1, 1);
         assert!(!p.crash_victims.contains(&0), "cheap leader must be spared");
-        let chain = reg.iter().find(|e| e.id == ProtocolId::Chain).unwrap();
-        let p = profile_for(chain, 1, 1);
+        let p = profile_for(ProtocolId::Chain, 1, 1);
         assert!(!p.partitions && !p.isolation);
     }
 
     #[test]
     fn recovery_scoping_shapes_the_profile() {
-        let reg = registry();
-        let pbft = reg.iter().find(|e| e.id == ProtocolId::Pbft).unwrap();
-        let p = recovery_profile_for(pbft, 1, 1);
+        let p = recovery_profile_for(ProtocolId::Pbft, 1, 1);
         assert!(p.recovery.enabled() && p.recovery.amnesia);
-        let hs = reg.iter().find(|e| e.id == ProtocolId::HotStuff).unwrap();
-        let p = recovery_profile_for(hs, 1, 1);
+        let p = recovery_profile_for(ProtocolId::HotStuff, 1, 1);
         assert!(
             p.recovery.enabled() && !p.recovery.amnesia,
             "amnesia restarts are pbft-family only (no on_recover hook elsewhere)"
         );
-        let cheap = reg.iter().find(|e| e.id == ProtocolId::Cheap).unwrap();
-        let p = recovery_profile_for(cheap, 1, 1);
+        let p = recovery_profile_for(ProtocolId::Cheap, 1, 1);
         assert!(
             !p.recovery.pool.contains(&0),
             "cheap's fixed leader must be spared from churn"
@@ -448,9 +430,8 @@ mod tests {
     #[test]
     fn single_case_is_deterministic() {
         let cfg = CampaignConfig::new(1);
-        let entry = &registry()[0];
-        let a = run_case(entry, &cfg, 3);
-        let b = run_case(entry, &cfg, 3);
+        let a = run_case(ProtocolId::ALL[0], &cfg, 3);
+        let b = run_case(ProtocolId::ALL[0], &cfg, 3);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 }

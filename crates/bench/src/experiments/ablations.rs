@@ -29,12 +29,7 @@ pub fn abl_batching(quick: bool) -> ExperimentResult {
     let reqs = load(quick, 25);
     let mut prev_instances = u64::MAX;
     for batch in [1usize, 4, 8] {
-        let s = Scenario::builder()
-            .n_for_f(1)
-            .clients(8)
-            .requests(reqs)
-            .batch(batch)
-            .build();
+        let s = Scenario::small(1).with_load(8, reqs).with_batch(batch);
         let out = ProtocolId::Pbft.run(&s);
         audit(&out, &[]);
         let total = (accepted(&out)) as u64;
@@ -83,12 +78,7 @@ pub fn abl_gst(quick: bool) -> ExperimentResult {
     for gst_ms in [0u64, 50, 150] {
         let gst = SimTime(gst_ms * 1_000_000);
         let net = NetworkConfig::lan().with_gst(gst).with_pre_gst_drop(0.25);
-        let s = Scenario::builder()
-            .n_for_f(1)
-            .clients(1)
-            .requests(reqs)
-            .network(net)
-            .build();
+        let s = Scenario::small(1).with_load(1, reqs).with_network(net);
         let out = ProtocolId::Pbft.run(&s);
         audit(&out, &[]);
         let before = out
@@ -137,12 +127,7 @@ pub fn abl_readonly(quick: bool) -> ExperimentResult {
         if label.contains("contention") {
             w = WorkloadConfig::contended(0.6).with_reads(read_frac);
         }
-        let s = Scenario::builder()
-            .n_for_f(1)
-            .clients(2)
-            .requests(reqs)
-            .workload(w)
-            .build();
+        let s = Scenario::small(1).with_load(2, reqs).with_workload(w);
         let out = if optimized {
             ProtocolId::PbftReadOpt.run(&s)
         } else {

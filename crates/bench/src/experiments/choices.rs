@@ -43,11 +43,7 @@ pub fn dc1_linearization(quick: bool) -> ExperimentResult {
     let mut crossover_seen = false;
     for f in [1usize, 2, 4] {
         let n = 3 * f + 1;
-        let s = Scenario::builder()
-            .n_for_f(f)
-            .clients(1)
-            .requests(reqs)
-            .build();
+        let s = Scenario::small(f).with_load(1, reqs);
         let pb = ProtocolId::Pbft.run(&s);
         audit(&pb, &[]);
         let sb = ProtocolId::Sbft.run(&s);
@@ -90,11 +86,7 @@ pub fn dc2_phase_reduction(quick: bool) -> ExperimentResult {
         fast.summary()
     ));
     let reqs = load(quick, 25);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let s = Scenario::small(1).with_load(1, reqs);
     let pb = ProtocolId::Pbft.run(&s);
     audit(&pb, &[]);
     let fb = ProtocolId::Fab.run(&s);
@@ -149,11 +141,7 @@ pub fn dc3_rotation(quick: bool) -> ExperimentResult {
         catalogue::hotstuff().good_case_phases()
     ));
     let reqs = load(quick, 25);
-    let free = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let free = Scenario::small(1).with_load(1, reqs);
     let crash = free
         .clone()
         .with_faults(FaultPlan::none().crash(NodeId::replica(0), SimTime(4_000_000)));
@@ -219,11 +207,7 @@ pub fn dc4_nonresponsive(quick: bool) -> ExperimentResult {
         tm_point.summary()
     ));
     let reqs = load(quick, 15);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let s = Scenario::small(1).with_load(1, reqs);
     let hs = ProtocolId::HotStuff.run(&s);
     audit(&hs, &[]);
     let tm = ProtocolId::Tendermint.run(&s);
@@ -267,11 +251,7 @@ pub fn dc5_replica_reduction(quick: bool) -> ExperimentResult {
             .summary()
     ));
     let reqs = load(quick, 40).max(12);
-    let free = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let free = Scenario::small(1).with_load(1, reqs);
     let crash = free
         .clone()
         .with_faults(FaultPlan::none().crash(NodeId::replica(1), SimTime(1_500_000)));
@@ -326,11 +306,7 @@ pub fn dc6_optimistic_phase(quick: bool) -> ExperimentResult {
         vec!["fast paths", "slow paths", "latency ms"],
     );
     let reqs = load(quick, 20);
-    let free = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let free = Scenario::small(1).with_load(1, reqs);
     let crash = free
         .clone()
         .with_faults(FaultPlan::none().crash(NodeId::replica(2), SimTime::ZERO));
@@ -371,11 +347,7 @@ pub fn dc7_speculative_phase(quick: bool) -> ExperimentResult {
         vec!["latency ms", "rollbacks", "accepted"],
     );
     let reqs = load(quick, 20);
-    let free = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let free = Scenario::small(1).with_load(1, reqs);
     let poe_free = ProtocolId::Poe.run(&free);
     audit(&poe_free, &[]);
     let sbft_free = ProtocolId::Sbft.run(&free);
@@ -386,9 +358,7 @@ pub fn dc7_speculative_phase(quick: bool) -> ExperimentResult {
         .iter()
         .map(|i| NodeId::replica(*i))
         .collect();
-    let attack = Scenario::builder()
-        .n_for_f(2)
-        .build()
+    let attack = Scenario::small(2)
         .with_load(2, load(quick, 10))
         .with_faults(FaultPlan::none().isolate(
             NodeId::replica(1),
@@ -458,11 +428,7 @@ pub fn dc8_speculative_exec(quick: bool) -> ExperimentResult {
     let spec = dc::speculative_execution(&catalogue::pbft()).expect("applies");
     result.note(format!("design space: {}", spec.summary()));
     let reqs = load(quick, 20);
-    let free = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let free = Scenario::small(1).with_load(1, reqs);
     let crash = free
         .clone()
         .with_faults(FaultPlan::none().crash(NodeId::replica(2), SimTime::ZERO));
@@ -535,11 +501,8 @@ pub fn dc9_conflict_free(quick: bool) -> ExperimentResult {
     let mut retries_grow = true;
     let mut last_retries = 0usize;
     for hot in [0.0f64, 0.3, 0.7] {
-        let s = Scenario::builder()
-            .n_for_f(1)
-            .clients(4)
-            .requests(reqs)
-            .build()
+        let s = Scenario::small(1)
+            .with_load(4, reqs)
             .with_workload(WorkloadConfig::contended(hot));
         let out = ProtocolId::Qu.run(&s);
         let retries = out.log.marker_count("qu-retry");
@@ -595,19 +558,13 @@ pub fn dc10_resilience(quick: bool) -> ExperimentResult {
         fast as f64 / accepted(out).max(1) as f64
     };
     // one crashed backup in both deployments
-    let crash3 = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build()
+    let crash3 = Scenario::small(1)
+        .with_load(1, reqs)
         .with_faults(FaultPlan::none().crash(NodeId::replica(2), SimTime::ZERO));
     let z = ProtocolId::Zyzzyva.run(&crash3);
     audit(&z, &[2]);
-    let crash5 = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build()
+    let crash5 = Scenario::small(1)
+        .with_load(1, reqs)
         .with_faults(FaultPlan::none().crash(NodeId::replica(3), SimTime::ZERO));
     let z5 = ProtocolId::Zyzzyva5.run(&crash5);
     audit(&z5, &[3]);
@@ -655,11 +612,8 @@ pub fn dc11_authentication(quick: bool) -> ExperimentResult {
     result.note(format!("design space: PBFT → {}", signed.summary()));
     let reqs = load(quick, 20);
     // force view changes so the MAC-mode ack traffic shows up
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build()
+    let s = Scenario::small(1)
+        .with_load(1, reqs)
         .with_cost_model(CryptoCostModel::realistic())
         .with_faults(FaultPlan::none().crash(NodeId::replica(0), SimTime(4_000_000)));
     let mac = Protocol::Pbft(PbftOptions {
@@ -726,11 +680,7 @@ pub fn dc12_robust(quick: bool) -> ExperimentResult {
         dc::robust(&catalogue::pbft_signed()).unwrap().summary()
     ));
     let reqs = load(quick, 20);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(1)
-        .requests(reqs)
-        .build();
+    let s = Scenario::small(1).with_load(1, reqs);
     let mut prime_dominates = true;
     for delay_ms in [25u64, 35] {
         let d = SimDuration::from_millis(delay_ms);
@@ -778,12 +728,9 @@ pub fn dc13_fair(quick: bool) -> ExperimentResult {
     );
     // the behavioural half: displacement vs the front-runner
     let reqs = load(quick, 15);
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(8)
-        .requests(reqs)
-        .batch(4)
-        .build()
+    let s = Scenario::small(1)
+        .with_load(8, reqs)
+        .with_batch(4)
         .with_workload(WorkloadConfig::uniform().with_work(300));
     let fr = Protocol::Pbft(PbftOptions {
         behaviors: vec![(ReplicaId(0), Behavior::Favor(bft_types::ClientId(3)))],
@@ -822,11 +769,7 @@ pub fn dc14_tree(quick: bool) -> ExperimentResult {
             .summary()
     ));
     let reqs = load(quick, 15);
-    let s = Scenario::builder()
-        .n_for_f(4)
-        .clients(1)
-        .requests(reqs)
-        .build(); // n = 13
+    let s = Scenario::small(4).with_load(1, reqs); // n = 13
     let sb = ProtocolId::Sbft.run(&s);
     audit(&sb, &[]);
     let rows: Vec<(&str, bft_sim::runner::RunOutcome, Vec<u32>)> = vec![
@@ -840,11 +783,8 @@ pub fn dc14_tree(quick: bool) -> ExperimentResult {
         (
             "Kauri, internal crash",
             ProtocolId::Kauri.run(
-                &Scenario::builder()
-                    .n_for_f(4)
-                    .clients(1)
-                    .requests(reqs)
-                    .build()
+                &Scenario::small(4)
+                    .with_load(1, reqs)
                     .with_faults(FaultPlan::none().crash(NodeId::replica(1), SimTime(2_000_000))),
             ),
             vec![1],

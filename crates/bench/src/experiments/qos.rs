@@ -28,12 +28,9 @@ pub fn q1_fairness(quick: bool) -> ExperimentResult {
     // per-request compute plus batching gives the leader a mempool to
     // reorder; more clients than the batch size means favored requests jump
     // whole batches, which closed-loop feedback cannot mask
-    let s = Scenario::builder()
-        .n_for_f(1)
-        .clients(8)
-        .requests(reqs)
-        .batch(4)
-        .build()
+    let s = Scenario::small(1)
+        .with_load(8, reqs)
+        .with_batch(4)
         .with_workload(WorkloadConfig::uniform().with_work(300));
 
     let victim = ClientId(2);
@@ -145,11 +142,7 @@ pub fn q2_loadbalance(quick: bool) -> ExperimentResult {
         vec!["imbalance", "max node msgs", "mean node msgs"],
     );
     let reqs = load(quick, 20);
-    let s = Scenario::builder()
-        .n_for_f(4)
-        .clients(1)
-        .requests(reqs)
-        .build(); // n = 13
+    let s = Scenario::small(4).with_load(1, reqs); // n = 13
 
     let runs: Vec<(&str, bft_sim::runner::RunOutcome)> = vec![
         ("PBFT (stable, clique)", ProtocolId::Pbft.run(&s)),

@@ -27,12 +27,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest,
+    SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// Chain messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -242,33 +244,10 @@ impl ChainReplica {
                 if self.executed_reqs.contains_key(&signed.request.id) {
                     continue;
                 }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
                 self.pending_reqs.retain(|r| *r != signed.request.id);
                 if self.replies_to_clients() {
-                    let reply = Reply {
-                        request: signed.request.id,
-                        view,
-                        result,
-                        state_digest,
-                        speculative: false,
-                    };
                     ctx.charge_crypto(CryptoOp::MacGen);
                     ctx.send(
                         NodeId::Client(signed.request.id.client),
@@ -558,7 +537,7 @@ impl ClientProtocol for ChainClientProto {
 
 /// Run Chain under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Chain.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);

@@ -21,12 +21,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, GenericClient, QuorumTracker, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// CheapBFT messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -127,7 +129,7 @@ pub struct CheapReplica {
     sm: StateMachine,
     exec_cursor: SeqNum,
     /// Passive: update attestations per (seq, digest).
-    update_votes: BTreeMap<(SeqNum, Digest), Vec<ReplicaId>>,
+    update_votes: QuorumTracker<(SeqNum, Digest)>,
     /// Pending updates (batches) awaiting enough attestations.
     update_batches: BTreeMap<(SeqNum, Digest), Vec<SignedRequest>>,
     transition_votes: Vec<ReplicaId>,
@@ -155,7 +157,7 @@ impl CheapReplica {
             executed_reqs: BTreeMap::new(),
             sm: StateMachine::new(),
             exec_cursor: SeqNum(0),
-            update_votes: BTreeMap::new(),
+            update_votes: QuorumTracker::new(),
             update_batches: BTreeMap::new(),
             transition_votes: Vec::new(),
             t3_timeout,
@@ -377,33 +379,11 @@ impl CheapReplica {
                 stage: Stage::Execution,
             });
             for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let view = View(self.epoch as u64);
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
                 // passives apply state but do not serve clients
                 if self.is_active() {
-                    let reply = Reply {
-                        request: signed.request.id,
-                        view: View(self.epoch as u64),
-                        result,
-                        state_digest,
-                        speculative: false,
-                    };
                     ctx.charge_crypto(CryptoOp::Sign);
                     ctx.send(
                         NodeId::Client(signed.request.id.client),
@@ -448,12 +428,9 @@ impl CheapReplica {
         }
         ctx.charge_crypto(CryptoOp::Verify);
         self.update_batches.entry((seq, digest)).or_insert(batch);
-        let votes = self.update_votes.entry((seq, digest)).or_default();
-        if !votes.contains(&from) {
-            votes.push(from);
-        }
+        self.update_votes.vote((seq, digest), from);
         // f+1 matching updates guarantee one correct active vouches
-        if votes.len() >= self.q.weak() {
+        if self.update_votes.count(&(seq, digest)) >= self.q.weak() {
             if let Some(batch) = self.update_batches.get(&(seq, digest)).cloned() {
                 let slot = self.slots.entry(seq).or_default();
                 if slot.digest.is_none() {
@@ -699,7 +676,7 @@ impl ClientProtocol for CheapClientProto {
 
 /// Run CheapBFT under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Cheap.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let t3 = SimDuration(scenario.network.delta.0 * 2);

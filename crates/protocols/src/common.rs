@@ -3,8 +3,11 @@
 //! * [`Scenario`] — the experiment description (cluster size, workload,
 //!   network, faults, seeds) under which protocols are compared.
 //! * [`SignedRequest`] — a client request carrying the client's signature.
-//! * [`QuorumTracker`] — counts distinct-sender votes per (view, seq,
-//!   digest) key; the core of every agreement phase.
+//! * The replica lifecycle stages every protocol shares:
+//!   [`execute_request`] (the execution step), [`QuorumTracker`] (a keyed
+//!   vote tally that reports duplicates), [`FutureBuffer`] (ahead-of-view
+//!   messages held for replay on view entry) and [`Catchup`] (state-transfer
+//!   retries for rejoining replicas).
 //! * [`GenericClient`] — the requester client (dimension P6) shared by most
 //!   protocols: closed-loop submission, reply collection against a
 //!   protocol-specific quorum, retransmission.
@@ -19,9 +22,10 @@ use bft_sim::{
     Actor, AdversarySpec, Context, Engine, EngineKind, FaultPlan, NetworkConfig, NetworkModel,
     NodeId, Observation, SimDuration, SimTime, Simulation, ThreadedEngine, TimerId,
 };
+use bft_state::StateMachine;
 use bft_types::{
-    ClientId, Digest, QuorumRules, ReplicaId, Reply, Request, RequestId, TimerKind, Transaction,
-    WireSize,
+    ClientId, Digest, Op, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
+    Transaction, View, WireSize,
 };
 
 /// A client request plus the client's signature over it.
@@ -58,15 +62,15 @@ impl WireSize for SignedRequest {
     }
 }
 
-/// Counts distinct-sender votes for keys of type `K` (typically
-/// `(View, SeqNum, Digest)`), the primitive under every prepare/commit/vote
-/// phase.
+/// A keyed vote tally: distinct voters per key (typically a `(view, seq,
+/// digest)` tuple or a target view). Keys are kept in order, so garbage
+/// collection by view or height is one [`QuorumTracker::retain`].
 #[derive(Debug, Clone)]
 pub struct QuorumTracker<K: Ord> {
     votes: BTreeMap<K, Vec<ReplicaId>>,
 }
 
-impl<K: Ord + Clone> Default for QuorumTracker<K> {
+impl<K: Ord> Default for QuorumTracker<K> {
     fn default() -> Self {
         QuorumTracker {
             votes: BTreeMap::new(),
@@ -74,20 +78,22 @@ impl<K: Ord + Clone> Default for QuorumTracker<K> {
     }
 }
 
-impl<K: Ord + Clone> QuorumTracker<K> {
+impl<K: Ord> QuorumTracker<K> {
     /// New empty tracker.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record a vote. Returns the number of distinct voters for the key
-    /// after insertion (duplicates do not increase the count).
-    pub fn vote(&mut self, key: K, from: ReplicaId) -> usize {
+    /// Record `from`'s vote for `key`. Returns the number of distinct
+    /// voters for the key after insertion, or `None` when `from` had
+    /// already voted for it (the duplicate is not counted).
+    pub fn vote(&mut self, key: K, from: ReplicaId) -> Option<usize> {
         let voters = self.votes.entry(key).or_default();
-        if !voters.contains(&from) {
-            voters.push(from);
+        if voters.contains(&from) {
+            return None;
         }
-        voters.len()
+        voters.push(from);
+        Some(voters.len())
     }
 
     /// Current count for a key.
@@ -95,15 +101,132 @@ impl<K: Ord + Clone> QuorumTracker<K> {
         self.votes.get(key).map_or(0, |v| v.len())
     }
 
-    /// Voters for a key.
-    pub fn voters(&self, key: &K) -> &[ReplicaId] {
-        self.votes.get(key).map_or(&[], |v| v.as_slice())
+    /// The largest key holding a vote.
+    pub fn max_key(&self) -> Option<&K> {
+        self.votes.keys().next_back()
     }
 
     /// Drop all keys for which `pred` is false (garbage collection).
     pub fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) {
         self.votes.retain(|k, _| pred(k));
     }
+
+    /// Drop every vote.
+    pub fn clear(&mut self) {
+        self.votes.clear();
+    }
+}
+
+/// Messages that arrived for a view (or another monotone key) the replica
+/// has not entered yet, held until it does. The key is taken when a message
+/// is pushed; on entry, [`FutureBuffer::take`] hands back the entered key's
+/// messages in arrival order, drops older keys and keeps later ones.
+/// Bounded: once [`FutureBuffer::CAP`] messages are held, further pushes
+/// are refused.
+#[derive(Debug)]
+pub struct FutureBuffer<K, M> {
+    msgs: Vec<(K, NodeId, M)>,
+}
+
+impl<K, M> Default for FutureBuffer<K, M> {
+    fn default() -> Self {
+        FutureBuffer { msgs: Vec::new() }
+    }
+}
+
+impl<K: Ord + Copy, M> FutureBuffer<K, M> {
+    /// The most messages held at once.
+    pub const CAP: usize = 10_000;
+
+    /// Hold `msg` from `from` for `key`. Returns `false` (dropping the
+    /// message) when the buffer is full.
+    pub fn push(&mut self, key: K, from: NodeId, msg: M) -> bool {
+        if self.msgs.len() >= Self::CAP {
+            return false;
+        }
+        self.msgs.push((key, from, msg));
+        true
+    }
+
+    /// The view gate shared by view-stamped ordering messages: a message
+    /// for a later view, or for the current one while a view change is in
+    /// progress, is held for replay and refused; otherwise it is admitted
+    /// exactly when it belongs to the current view.
+    pub fn admit(&mut self, cur: K, in_view_change: bool, from: NodeId, key: K, msg: M) -> bool {
+        if key > cur || (in_view_change && key == cur) {
+            self.push(key, from, msg);
+            false
+        } else {
+            key == cur && !in_view_change
+        }
+    }
+
+    /// Enter `cur`: return its messages in arrival order for replay, drop
+    /// those for older keys, keep those for later ones.
+    pub fn take(&mut self, cur: K) -> Vec<(NodeId, M)> {
+        let mut now = Vec::new();
+        let held = std::mem::take(&mut self.msgs);
+        for (key, from, msg) in held {
+            match key.cmp(&cur) {
+                std::cmp::Ordering::Equal => now.push((from, msg)),
+                std::cmp::Ordering::Greater => self.msgs.push((key, from, msg)),
+                std::cmp::Ordering::Less => {}
+            }
+        }
+        now
+    }
+
+    /// Drop every held message.
+    pub fn clear(&mut self) {
+        self.msgs.clear();
+    }
+}
+
+/// The execution step every replicated state machine runs per ordered
+/// request: charge the request's `Op::Work` units (1 µs of virtual time
+/// each), apply it at the state machine's next sequence number (as a
+/// rollback-able speculative entry when `speculative`), record
+/// [`Observation::Execute`], and return that sequence number with the
+/// client [`Reply`] stamped `view`.
+///
+/// What differs per protocol stays with the caller: the crypto charge for
+/// the reply (signature, MAC or threshold share), whether and where it is
+/// sent, and the protocol's own bookkeeping.
+pub fn execute_request<M: WireSize + serde::Serialize>(
+    sm: &mut StateMachine,
+    request: &Request,
+    view: View,
+    speculative: bool,
+    ctx: &mut Context<'_, M>,
+) -> (SeqNum, Reply) {
+    let seq = sm.last_executed().next();
+    let work: u32 = request
+        .txn
+        .ops
+        .iter()
+        .map(|op| if let Op::Work(w) = op { *w } else { 0 })
+        .sum();
+    if work > 0 {
+        ctx.charge(SimDuration(work as u64 * 1_000));
+    }
+    let (result, state_digest) = if speculative {
+        sm.execute_speculative(seq, request)
+    } else {
+        sm.execute(seq, request)
+    };
+    ctx.observe(Observation::Execute {
+        seq,
+        request: request.id,
+        state_digest,
+    });
+    let reply = Reply {
+        request: request.id,
+        view,
+        result,
+        state_digest,
+        speculative,
+    };
+    (seq, reply)
 }
 
 /// The experiment scenario: everything about a run except the protocol.
@@ -149,7 +272,19 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// A small fault-free LAN scenario: f = 1, one client, 50 requests.
+    /// A small fault-free LAN scenario: one client, 50 requests. The
+    /// `with_*` setters adjust it:
+    ///
+    /// ```
+    /// use bft_protocols::common::Scenario;
+    /// use bft_sim::NetworkConfig;
+    ///
+    /// let s = Scenario::small(1)
+    ///     .with_load(1, 120)
+    ///     .with_network(NetworkConfig::lan());
+    /// assert_eq!(s.f, 1);
+    /// assert_eq!(s.requests_per_client, 120);
+    /// ```
     pub fn small(f: usize) -> Scenario {
         Scenario {
             f,
@@ -241,27 +376,6 @@ impl Scenario {
     /// The replica count for a protocol whose formula minimum is `min_n`.
     pub fn n(&self, min_n: usize) -> usize {
         self.n_override.map_or(min_n, |n| n.max(min_n))
-    }
-
-    /// Start a fluent builder seeded with the [`Scenario::small`]`(1)`
-    /// defaults. Mirrors `NetworkConfig::with_*`:
-    ///
-    /// ```
-    /// use bft_protocols::common::Scenario;
-    /// use bft_sim::NetworkConfig;
-    ///
-    /// let s = Scenario::builder()
-    ///     .n_for_f(1)
-    ///     .requests(120)
-    ///     .network(NetworkConfig::lan())
-    ///     .build();
-    /// assert_eq!(s.f, 1);
-    /// assert_eq!(s.requests_per_client, 120);
-    /// ```
-    pub fn builder() -> ScenarioBuilder {
-        ScenarioBuilder {
-            scenario: Scenario::small(1),
-        }
     }
 
     /// The key store all parties in this scenario share.
@@ -359,114 +473,6 @@ impl Scenario {
             }
         }
         txns
-    }
-}
-
-/// Fluent builder for [`Scenario`], started with [`Scenario::builder`].
-///
-/// Every knob has a setter, so experiments construct scenarios without
-/// struct-literal field pokes and new `Scenario` fields don't ripple through
-/// call sites.
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    scenario: Scenario,
-}
-
-impl ScenarioBuilder {
-    /// Set the fault threshold `f` (the replica count follows from the
-    /// protocol's formula unless [`Self::n`] overrides it).
-    pub fn n_for_f(mut self, f: usize) -> Self {
-        self.scenario.f = f;
-        self
-    }
-
-    /// Override the replica count (clamped up to the protocol's minimum).
-    pub fn n(mut self, n: usize) -> Self {
-        self.scenario.n_override = Some(n);
-        self
-    }
-
-    /// Set the number of clients.
-    pub fn clients(mut self, clients: usize) -> Self {
-        self.scenario.clients = clients;
-        self
-    }
-
-    /// Set the per-client request count.
-    pub fn requests(mut self, requests_per_client: u64) -> Self {
-        self.scenario.requests_per_client = requests_per_client;
-        self
-    }
-
-    /// Set the network configuration.
-    pub fn network(mut self, network: NetworkConfig) -> Self {
-        self.scenario.network = network;
-        self
-    }
-
-    /// Set the fault plan.
-    pub fn faults(mut self, faults: FaultPlan) -> Self {
-        self.scenario.faults = faults;
-        self
-    }
-
-    /// Set the Byzantine adversary placements.
-    pub fn adversaries(mut self, adversaries: Vec<AdversarySpec>) -> Self {
-        self.scenario.adversaries = adversaries;
-        self
-    }
-
-    /// Set the transaction mix.
-    pub fn workload(mut self, workload: WorkloadConfig) -> Self {
-        self.scenario.workload = workload;
-        self
-    }
-
-    /// Set the master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.scenario.seed = seed;
-        self
-    }
-
-    /// Set the crypto cost model.
-    pub fn cost_model(mut self, cost_model: CryptoCostModel) -> Self {
-        self.scenario.cost_model = cost_model;
-        self
-    }
-
-    /// Set the checkpoint interval (0 disables checkpointing).
-    pub fn checkpoint_interval(mut self, interval: u64) -> Self {
-        self.scenario.checkpoint_interval = interval;
-        self
-    }
-
-    /// Set the batch size.
-    pub fn batch(mut self, batch_size: usize) -> Self {
-        self.scenario.batch_size = batch_size;
-        self
-    }
-
-    /// Set the virtual-time budget.
-    pub fn max_time(mut self, max_time: SimDuration) -> Self {
-        self.scenario.max_time = max_time;
-        self
-    }
-
-    /// Set the event-queue scheduler.
-    pub fn scheduler(mut self, scheduler: bft_sim::SchedulerKind) -> Self {
-        self.scenario.scheduler = scheduler;
-        self
-    }
-
-    /// Set the execution engine.
-    pub fn engine(mut self, engine: EngineKind) -> Self {
-        self.scenario.engine = engine;
-        self
-    }
-
-    /// Finish, yielding the scenario.
-    pub fn build(self) -> Scenario {
-        self.scenario
     }
 }
 
@@ -1001,14 +1007,115 @@ mod tests {
     #[test]
     fn quorum_tracker_counts_distinct() {
         let mut t: QuorumTracker<(u64, u8)> = QuorumTracker::new();
-        assert_eq!(t.vote((1, 0), ReplicaId(0)), 1);
-        assert_eq!(t.vote((1, 0), ReplicaId(0)), 1, "duplicate ignored");
-        assert_eq!(t.vote((1, 0), ReplicaId(1)), 2);
-        assert_eq!(t.vote((2, 0), ReplicaId(1)), 1, "separate key");
+        assert_eq!(t.vote((1, 0), ReplicaId(0)), Some(1));
+        assert_eq!(t.vote((1, 0), ReplicaId(0)), None, "duplicate reported");
+        assert_eq!(t.count(&(1, 0)), 1, "duplicate not counted");
+        assert_eq!(t.vote((1, 0), ReplicaId(1)), Some(2));
+        assert_eq!(t.vote((2, 0), ReplicaId(1)), Some(1), "separate key");
         assert_eq!(t.count(&(1, 0)), 2);
+        assert_eq!(t.max_key(), Some(&(2, 0)));
         t.retain(|k| k.0 > 1);
         assert_eq!(t.count(&(1, 0)), 0);
         assert_eq!(t.count(&(2, 0)), 1);
+        t.clear();
+        assert_eq!(t.max_key(), None);
+    }
+
+    #[test]
+    fn future_buffer_replays_current_view_in_arrival_order() {
+        let mut b: FutureBuffer<View, u32> = FutureBuffer::default();
+        let r = NodeId::replica;
+        assert!(b.push(View(2), r(0), 20));
+        assert!(b.push(View(1), r(1), 10));
+        assert!(b.push(View(3), r(2), 30));
+        assert!(b.push(View(2), r(3), 21));
+        // entering view 2: view-2 messages in arrival order, view 1 dropped
+        assert_eq!(b.take(View(2)), vec![(r(0), 20), (r(3), 21)]);
+        assert_eq!(b.take(View(2)), vec![], "replayed messages are gone");
+        // the later view survived
+        assert_eq!(b.take(View(3)), vec![(r(2), 30)]);
+        // the bound: full at CAP, room again once a view entry drains it
+        for i in 0..FutureBuffer::<View, u32>::CAP {
+            assert!(b.push(View(5), r(0), i as u32));
+        }
+        assert!(!b.push(View(6), r(1), 0), "past the bound");
+        assert_eq!(b.take(View(5)).len(), FutureBuffer::<View, u32>::CAP);
+        assert!(b.push(View(6), r(1), 1));
+        assert_eq!(b.take(View(6)), vec![(r(1), 1)]);
+    }
+
+    #[test]
+    fn future_buffer_admits_only_the_settled_current_view() {
+        let mut b: FutureBuffer<View, u32> = FutureBuffer::default();
+        let r = NodeId::replica(0);
+        assert!(b.admit(View(2), false, r, View(2), 1));
+        assert!(!b.admit(View(2), false, r, View(1), 2), "stale: dropped");
+        assert!(!b.admit(View(2), false, r, View(3), 3), "ahead: held");
+        assert!(!b.admit(View(2), true, r, View(2), 4), "view change: held");
+        assert_eq!(b.take(View(2)), vec![(r, 4)]);
+        assert_eq!(b.take(View(3)), vec![(r, 3)]);
+    }
+
+    /// A replica that runs [`execute_request`] over a fixed batch on start.
+    struct Executor {
+        batch: Vec<Request>,
+    }
+
+    impl Actor<u64> for Executor {
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            let mut sm = StateMachine::new();
+            for (i, request) in self.batch.iter().enumerate() {
+                let (seq, reply) = execute_request(&mut sm, request, View(7), i == 1, ctx);
+                assert_eq!(seq, SeqNum(i as u64 + 1), "the state machine's next seq");
+                assert_eq!(reply.request, request.id);
+                assert_eq!(reply.view, View(7));
+                assert_eq!(reply.speculative, i == 1);
+                assert_eq!(reply.state_digest, sm.digest());
+            }
+        }
+
+        fn on_message(&mut self, _: NodeId, _: &u64, _: &mut Context<'_, u64>) {}
+    }
+
+    #[test]
+    fn execution_step_charges_work_and_observes_execute() {
+        let txn = |ops: Vec<Op>| Transaction { ops };
+        let batch = vec![
+            Request::new(
+                ClientId(0),
+                1,
+                txn(vec![Op::Work(5), Op::Put(1, 1), Op::Work(2)]),
+            ),
+            Request::new(ClientId(0), 2, txn(vec![Op::Get(1)])),
+            Request::new(ClientId(1), 1, txn(vec![Op::Work(3)])),
+        ];
+        let mut sim: Simulation<u64> = Simulation::new(NetworkModel::new(NetworkConfig::lan()), 1);
+        sim.add_replica(
+            0,
+            Box::new(Executor {
+                batch: batch.clone(),
+            }),
+        );
+        sim.run(SimTime(1_000_000));
+        let executes: Vec<_> = sim
+            .log()
+            .entries
+            .iter()
+            .filter_map(|e| match e.obs {
+                Observation::Execute { seq, request, .. } => Some((e.at, seq, request)),
+                _ => None,
+            })
+            .collect();
+        // 1 µs of virtual time per Work unit, charged before the request
+        // executes: 7 µs, then nothing, then 3 µs more
+        assert_eq!(
+            executes,
+            vec![
+                (SimTime(7_000), SeqNum(1), batch[0].id),
+                (SimTime(7_000), SeqNum(2), batch[1].id),
+                (SimTime(10_000), SeqNum(3), batch[2].id),
+            ]
+        );
     }
 
     #[test]

@@ -22,12 +22,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, FutureBuffer, GenericClient, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// FaB messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -130,7 +132,7 @@ pub struct FabReplica {
     vc_votes: crate::common::VcVotes,
     vc_timer: Option<TimerId>,
     pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, FabMsg)>,
+    ahead: FutureBuffer<View, FabMsg>,
     view_timeout: SimDuration,
     batch_size: usize,
 }
@@ -159,7 +161,7 @@ impl FabReplica {
             vc_votes: BTreeMap::new(),
             vc_timer: None,
             pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             view_timeout,
             batch_size,
         }
@@ -278,32 +280,9 @@ impl FabReplica {
                 stage: Stage::Execution,
             });
             for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
                 self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.send(
                     NodeId::Client(signed.request.id.client),
@@ -468,31 +447,8 @@ impl FabReplica {
             self.propose(ctx);
         }
         // replay racing messages
-        let cur = self.view;
-        let msg_view = |m: &FabMsg| match m {
-            FabMsg::Propose { view, .. } | FabMsg::Accept { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: FabMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -559,7 +515,10 @@ impl Actor<FabMsg> for FabReplica {
                     digest: *digest,
                     batch: batch.clone(),
                 };
-                if !self.view_ok(from, *view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, *view, m)
+                {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -594,7 +553,10 @@ impl Actor<FabMsg> for FabReplica {
                     digest: *digest,
                     from: *r,
                 };
-                if !self.view_ok(from, *view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, *view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -666,7 +628,7 @@ impl ClientProtocol for FabClientProto {
 
 /// Run FaB under a scenario (n = 5f+1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(5 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Fab.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);

@@ -33,12 +33,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, FutureBuffer, GenericClient, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// Fair-protocol messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -208,7 +210,7 @@ pub struct FairReplica {
     in_view_change: bool,
     vc_votes: BTreeMap<View, Vec<(ReplicaId, Vec<FairEntry>)>>,
     vc_timer: Option<TimerId>,
-    future_msgs: Vec<(NodeId, FairMsg)>,
+    ahead: FutureBuffer<View, FairMsg>,
     round_timer: Option<TimerId>,
     round_period: SimDuration,
     view_timeout: SimDuration,
@@ -245,7 +247,7 @@ impl FairReplica {
             in_view_change: false,
             vc_votes: BTreeMap::new(),
             vc_timer: None,
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             round_timer: None,
             round_period,
             view_timeout,
@@ -481,31 +483,8 @@ impl FairReplica {
                 if self.executed_reqs.contains_key(&signed.request.id) {
                     continue;
                 }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.send(
                     NodeId::Client(signed.request.id.client),
@@ -659,33 +638,8 @@ impl FairReplica {
                 .max(max_seq.next())
                 .max(self.exec_cursor.next());
         }
-        let cur = self.view;
-        let msg_view = |m: &FairMsg| match m {
-            FairMsg::FairPropose { view, .. }
-            | FairMsg::Prepare { view, .. }
-            | FairMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: FairMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -750,7 +704,10 @@ impl Actor<FairMsg> for FairReplica {
                     digest,
                     batches: batches.clone(),
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -802,7 +759,10 @@ impl Actor<FairMsg> for FairReplica {
                     digest,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -821,7 +781,10 @@ impl Actor<FairMsg> for FairReplica {
                     digest,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -900,7 +863,7 @@ impl ClientProtocol for FairClientProto {
 
 /// Run the fair protocol under a scenario (n = 4f+1, γ = 1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(4 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Fair.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let round_period = SimDuration(scenario.network.base_delay.0 * 4);

@@ -27,12 +27,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, GenericClient, QuorumTracker, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// The three vote phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -136,7 +138,7 @@ pub struct HotStuffReplica {
     /// The slot currently being decided (one slot per view).
     cur: Option<(SeqNum, Digest, Vec<SignedRequest>)>,
     /// Leader: votes per (phase, seq, digest).
-    votes: BTreeMap<(HsPhase, SeqNum, Digest), Vec<ReplicaId>>,
+    votes: QuorumTracker<(HsPhase, SeqNum, Digest)>,
     /// Highest prepare QC seen (justifies new proposals).
     high_qc: Option<Qc>,
     /// Per-slot locks (pre-commit QCs): the safety anchor. A replica never
@@ -151,7 +153,7 @@ pub struct HotStuffReplica {
     sm: StateMachine,
     exec_cursor: SeqNum,
     /// New-view messages per view (pacemaker).
-    new_views: BTreeMap<View, Vec<ReplicaId>>,
+    new_views: QuorumTracker<View>,
     /// τ5 pacemaker timer.
     t5: Option<TimerId>,
     t5_timeout: SimDuration,
@@ -206,7 +208,7 @@ impl HotStuffReplica {
             store,
             view: View(0),
             cur: None,
-            votes: BTreeMap::new(),
+            votes: QuorumTracker::new(),
             high_qc: None,
             locks: BTreeMap::new(),
             decided: BTreeMap::new(),
@@ -214,7 +216,7 @@ impl HotStuffReplica {
             executed_reqs: BTreeMap::new(),
             sm: StateMachine::new(),
             exec_cursor: SeqNum(0),
-            new_views: BTreeMap::new(),
+            new_views: QuorumTracker::new(),
             t5: None,
             t5_timeout,
             proposed_this_view: false,
@@ -452,12 +454,10 @@ impl HotStuffReplica {
         if seq <= self.exec_cursor || self.decided.contains_key(&seq) {
             return;
         }
-        let voters = self.votes.entry((phase, seq, digest)).or_default();
-        if voters.contains(&from) {
+        let Some(count) = self.votes.vote((phase, seq, digest), from) else {
             return;
-        }
-        voters.push(from);
-        if voters.len() == self.vote_quorum() {
+        };
+        if count == self.vote_quorum() {
             ctx.charge_crypto(CryptoOp::ThresholdCombine);
             let qc = Qc {
                 phase,
@@ -539,31 +539,8 @@ impl HotStuffReplica {
                 if self.executed_reqs.contains_key(&signed.request.id) {
                     continue;
                 }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.send(
                     NodeId::Client(signed.request.id.client),
@@ -585,7 +562,7 @@ impl HotStuffReplica {
         self.view = target;
         self.cur = None;
         self.proposed_this_view = false;
-        self.votes.retain(|_, _| false);
+        self.votes.clear();
         self.disarm_pacemaker(ctx);
         ctx.observe(Observation::NewView { view: target });
         // pacemaker: tell the new leader our high QC
@@ -632,23 +609,19 @@ impl HotStuffReplica {
                 self.batches.entry(qc.digest).or_insert(high_batch);
             }
         }
-        let entry = self.new_views.entry(view).or_default();
-        if !entry.contains(&from) {
-            entry.push(from);
-        }
+        self.new_views.vote(view, from);
+        let synced = self.new_views.count(&view);
         // join rule: f+1 replicas are in a higher view
-        if view > self.view && self.new_views.get(&view).map_or(0, |v| v.len()) > self.q.f {
+        if view > self.view && synced > self.q.f {
             self.advance_view(view, ctx);
             return;
         }
         // responsive: the new leader proposes once n − f replicas synced
-        if view == self.view
-            && self.leader_of(view) == self.me
-            && self.new_views.get(&view).map_or(0, |v| v.len()) >= self.vote_quorum() - 1
+        if view == self.view && self.leader_of(view) == self.me && synced >= self.vote_quorum() - 1
         {
             self.maybe_propose(ctx);
         }
-        self.new_views.retain(|v, _| *v >= self.view);
+        self.new_views.retain(|v| *v >= self.view);
     }
 }
 
@@ -798,7 +771,7 @@ impl ClientProtocol for HsClientProto {
 
 /// Run HotStuff under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::HotStuff.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let t5 = SimDuration(scenario.network.delta.0 * 4);

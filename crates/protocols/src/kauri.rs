@@ -29,12 +29,14 @@ use bft_sim::topology::Topology;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, FutureBuffer, GenericClient, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// Aggregation phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -172,7 +174,7 @@ pub struct KauriReplica {
     vc_votes: crate::common::VcVotes,
     vc_timer: Option<TimerId>,
     pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, KauriMsg)>,
+    ahead: FutureBuffer<View, KauriMsg>,
     view_timeout: SimDuration,
     agg_timeout: SimDuration,
     batch_size: usize,
@@ -206,7 +208,7 @@ impl KauriReplica {
             vc_votes: BTreeMap::new(),
             vc_timer: None,
             pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             view_timeout,
             agg_timeout,
             batch_size,
@@ -511,32 +513,9 @@ impl KauriReplica {
                 if self.executed_reqs.contains_key(&signed.request.id) {
                     continue;
                 }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
                 self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.send(
                     NodeId::Client(signed.request.id.client),
@@ -703,33 +682,8 @@ impl KauriReplica {
                 }
             }
         }
-        let cur = self.view;
-        let msg_view = |m: &KauriMsg| match m {
-            KauriMsg::Disseminate { view, .. }
-            | KauriMsg::Aggregate { view, .. }
-            | KauriMsg::QcDown { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: KauriMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -796,7 +750,10 @@ impl Actor<KauriMsg> for KauriReplica {
                     digest,
                     batch: batch.clone(),
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 // only our tree parent may disseminate to us
@@ -828,7 +785,10 @@ impl Actor<KauriMsg> for KauriReplica {
                     count,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 self.on_aggregate(phase, seq, digest, count, r, ctx);
@@ -846,7 +806,10 @@ impl Actor<KauriMsg> for KauriReplica {
                     seq,
                     digest,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if from != NodeId::Replica(self.parent().unwrap_or(self.root())) {
@@ -940,7 +903,7 @@ impl ClientProtocol for KauriClientProto {
 
 /// Run Kauri under a scenario with the given tree fan-out.
 pub fn run(scenario: &Scenario, fanout: usize) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Kauri.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);

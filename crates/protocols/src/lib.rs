@@ -47,5 +47,5 @@ pub mod sbft;
 pub mod tendermint;
 pub mod zyzzyva;
 
-pub use common::{Scenario, ScenarioBuilder, SignedRequest};
-pub use registry::{registry, ChaosTolerance, Protocol, ProtocolEntry, ProtocolId};
+pub use common::{Scenario, SignedRequest};
+pub use registry::{ChaosTolerance, Protocol, ProtocolId};

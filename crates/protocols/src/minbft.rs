@@ -27,12 +27,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, FutureBuffer, GenericClient, QuorumTracker,
+    Scenario, SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// A unique identifier produced by the trusted component: an attested
 /// (counter, digest) binding.
@@ -204,10 +206,10 @@ pub struct MinBftReplica {
     sm: StateMachine,
     exec_cursor: SeqNum,
     in_view_change: bool,
-    vc_votes: BTreeMap<View, Vec<ReplicaId>>,
+    vc_votes: QuorumTracker<View>,
     vc_timer: Option<TimerId>,
     pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, MinBftMsg)>,
+    ahead: FutureBuffer<View, MinBftMsg>,
     view_timeout: SimDuration,
     batch_size: usize,
 }
@@ -235,10 +237,10 @@ impl MinBftReplica {
             sm: StateMachine::new(),
             exec_cursor: SeqNum(0),
             in_view_change: false,
-            vc_votes: BTreeMap::new(),
+            vc_votes: QuorumTracker::new(),
             vc_timer: None,
             pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             view_timeout,
             batch_size,
         }
@@ -363,32 +365,9 @@ impl MinBftReplica {
                 stage: Stage::Execution,
             });
             for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
                 self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.send(
                     NodeId::Client(signed.request.id.client),
@@ -413,7 +392,7 @@ impl MinBftReplica {
         if target <= self.view {
             return;
         }
-        if self.in_view_change && self.vc_votes.keys().max().is_some_and(|v| *v >= target) {
+        if self.in_view_change && self.vc_votes.max_key().is_some_and(|v| *v >= target) {
             return;
         }
         self.in_view_change = true;
@@ -431,12 +410,9 @@ impl MinBftReplica {
     }
 
     fn record_vc(&mut self, from: ReplicaId, target: View, ctx: &mut Context<'_, MinBftMsg>) {
-        let votes = self.vc_votes.entry(target).or_default();
-        if votes.contains(&from) {
+        let Some(have) = self.vc_votes.vote(target, from) else {
             return;
-        }
-        votes.push(from);
-        let have = votes.len();
+        };
         // join on a single foreign request (f+1 would need f ≥ 1 peers in a
         // 2f+1 cluster; one attested request from another replica suffices
         // to at least consider the view suspect — we join at f+1 as usual)
@@ -472,7 +448,7 @@ impl MinBftReplica {
     ) {
         self.view = view;
         self.in_view_change = false;
-        self.vc_votes.retain(|v, _| *v > view);
+        self.vc_votes.retain(|v| *v > view);
         if let Some(t) = self.vc_timer.take() {
             ctx.cancel_timer(t);
         }
@@ -527,31 +503,8 @@ impl MinBftReplica {
                 .max(self.exec_cursor.next());
             self.propose(ctx);
         }
-        let cur = self.view;
-        let msg_view = |m: &MinBftMsg| match m {
-            MinBftMsg::Prepare { view, .. } | MinBftMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: MinBftMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -619,7 +572,10 @@ impl Actor<MinBftMsg> for MinBftReplica {
                     ui,
                     batch: batch.clone(),
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) || ui.replica != self.leader() {
@@ -663,7 +619,10 @@ impl Actor<MinBftMsg> for MinBftReplica {
                     ui,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if ui.replica != r || ui.digest != digest {
@@ -690,13 +649,7 @@ impl Actor<MinBftMsg> for MinBftReplica {
         if kind == TimerKind::T2ViewChange && Some(id) == self.vc_timer {
             self.vc_timer = None;
             if self.in_view_change {
-                let target = self
-                    .vc_votes
-                    .keys()
-                    .max()
-                    .copied()
-                    .unwrap_or(self.view)
-                    .next();
+                let target = self.vc_votes.max_key().copied().unwrap_or(self.view).next();
                 self.start_view_change(target, ctx);
             } else if !self.pending_reqs.is_empty() {
                 let target = self.view.next();
@@ -734,7 +687,7 @@ impl ClientProtocol for MinBftClientProto {
 
 /// Run MinBFT under a scenario (n = 2f+1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(2 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::MinBft.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);

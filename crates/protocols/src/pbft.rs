@@ -42,9 +42,10 @@ use bft_types::{
 };
 
 use crate::common::{
-    run_to_completion, Catchup, ClientProtocol, GenericClient, Scenario, SignedRequest,
-    SubmitPolicy,
+    execute_request, run_to_completion, Catchup, ClientProtocol, FutureBuffer, GenericClient,
+    QuorumTracker, Scenario, SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// Authentication mode for PBFT messages (dimension E3 / design choice 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,12 +354,12 @@ pub struct PbftReplica {
     /// Collected view-change messages per target view.
     vc_msgs: BTreeMap<View, Vec<VcEntry>>,
     /// MAC mode: acks per (view, vc sender).
-    vc_acks: BTreeMap<(View, ReplicaId), Vec<ReplicaId>>,
+    vc_acks: QuorumTracker<(View, ReplicaId)>,
     /// Pending partial-batch timer.
     batch_timer: Option<TimerId>,
     /// Ordering messages that arrived for a view we have not installed yet
     /// (they race ahead of the new-view message); replayed on installation.
-    future_msgs: Vec<(NodeId, PbftMsg)>,
+    ahead: FutureBuffer<View, PbftMsg>,
     /// τ2 timer for the currently pending request set.
     vc_timer: Option<TimerId>,
     /// When the live τ2 span started (recovery-aware discipline: scheduled
@@ -408,9 +409,9 @@ impl PbftReplica {
             attested: BTreeMap::new(),
             in_view_change: false,
             vc_msgs: BTreeMap::new(),
-            vc_acks: BTreeMap::new(),
+            vc_acks: QuorumTracker::new(),
             batch_timer: None,
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             vc_timer: None,
             vc_armed_at: SimTime::ZERO,
             recovery_timer: None,
@@ -740,7 +741,8 @@ impl PbftReplica {
     ) {
         if view > self.view || (self.in_view_change && view == self.view) {
             // the pre-prepare raced ahead of the new-view message: buffer it
-            self.buffer(
+            self.ahead.push(
+                view,
                 from,
                 PbftMsg::PrePrepare {
                     view,
@@ -919,31 +921,7 @@ impl PbftReplica {
                     );
                     continue;
                 }
-                let seq = self.sm.last_executed().next();
-                // charge execution work for Work ops
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 match self.cfg.auth {
                     PbftAuth::Mac => ctx.charge_crypto(CryptoOp::MacGen),
                     PbftAuth::Signature => ctx.charge_crypto(CryptoOp::Sign),
@@ -1092,30 +1070,9 @@ impl PbftReplica {
         self.try_execute(ctx);
     }
 
-    /// Buffer an ordering message for a view we have not installed yet.
-    fn buffer(&mut self, from: NodeId, msg: PbftMsg) {
-        if self.future_msgs.len() < 10_000 {
-            self.future_msgs.push((from, msg));
-        }
-    }
-
     /// Replay buffered ordering messages that now match the current view.
     fn replay_buffered(&mut self, ctx: &mut Context<'_, PbftMsg>) {
-        let view = self.view;
-        let msg_view = |m: &PbftMsg| match m {
-            PbftMsg::PrePrepare { view, .. }
-            | PbftMsg::Prepare { view, .. }
-            | PbftMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(view));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > view))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.handle_ordering(from, &msg, ctx);
         }
     }
@@ -1138,17 +1095,16 @@ impl PbftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if view > self.view || (self.in_view_change && view == self.view) {
-                    self.buffer(
-                        from,
-                        PbftMsg::Prepare {
-                            view,
-                            seq,
-                            digest,
-                            from: r,
-                        },
-                    );
-                } else if view == self.view && !self.in_view_change {
+                let m = PbftMsg::Prepare {
+                    view,
+                    seq,
+                    digest,
+                    from: r,
+                };
+                if self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     self.charge_verify_auth(ctx);
                     self.record_prepare(r, view, seq, digest, ctx);
                 }
@@ -1160,17 +1116,16 @@ impl PbftReplica {
                 from: r,
             } => {
                 let (view, seq, digest, r) = (*view, *seq, *digest, *r);
-                if view > self.view || (self.in_view_change && view == self.view) {
-                    self.buffer(
-                        from,
-                        PbftMsg::Commit {
-                            view,
-                            seq,
-                            digest,
-                            from: r,
-                        },
-                    );
-                } else if view == self.view && !self.in_view_change {
+                let m = PbftMsg::Commit {
+                    view,
+                    seq,
+                    digest,
+                    from: r,
+                };
+                if self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     self.charge_verify_auth(ctx);
                     self.record_commit(r, view, seq, digest, ctx);
                 }
@@ -1276,12 +1231,7 @@ impl PbftReplica {
             // each foreign view-change needs 2f−1 acks before it counts
             let need = (2 * self.cfg.q.f).saturating_sub(1);
             entries.iter().all(|(r, _, _)| {
-                *r == self.me
-                    || need == 0
-                    || self
-                        .vc_acks
-                        .get(&(new_view, *r))
-                        .is_some_and(|acks| acks.len() >= need)
+                *r == self.me || need == 0 || self.vc_acks.count(&(new_view, *r)) >= need
             })
         } else {
             true
@@ -1369,7 +1319,7 @@ impl PbftReplica {
         self.rejoining = false;
         self.disarm_view_timer(ctx);
         self.vc_msgs.retain(|v, _| *v > view);
-        self.vc_acks.retain(|(v, _), _| *v > view);
+        self.vc_acks.retain(|(v, _)| *v > view);
         ctx.observe(Observation::NewView { view });
         self.enter_stage(Stage::Ordering, ctx);
 
@@ -1529,7 +1479,7 @@ impl PbftReplica {
         self.rejoining = false;
         self.disarm_view_timer(ctx);
         self.vc_msgs.retain(|v, _| *v > view);
-        self.vc_acks.retain(|(v, _), _| *v > view);
+        self.vc_acks.retain(|(v, _)| *v > view);
         ctx.observe(Observation::NewView { view });
         self.replay_buffered(ctx);
     }
@@ -1581,10 +1531,7 @@ impl Actor<PbftMsg> for PbftReplica {
             } => {
                 if self.cfg.auth == PbftAuth::Mac {
                     ctx.charge_crypto(CryptoOp::MacVerify);
-                    let acks = self.vc_acks.entry((*new_view, *vc_from)).or_default();
-                    if !acks.contains(r) {
-                        acks.push(*r);
-                    }
+                    self.vc_acks.vote((*new_view, *vc_from), *r);
                     self.maybe_assemble_new_view(*new_view, ctx);
                 }
             }
@@ -1679,7 +1626,7 @@ impl Actor<PbftMsg> for PbftReplica {
             self.executed_reqs.clear();
             self.vc_msgs.clear();
             self.vc_acks.clear();
-            self.future_msgs.clear();
+            self.ahead.clear();
             self.attested.clear();
             self.snapshots.clear();
             self.view = View(0);
@@ -1911,7 +1858,7 @@ impl Default for PbftOptions {
 /// Run PBFT under a scenario. Returns the raw outcome for auditing and
 /// reporting.
 pub fn run(scenario: &Scenario, options: &PbftOptions) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Pbft.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let mut cfg = PbftConfig::from_scenario(scenario, n);
@@ -1949,7 +1896,7 @@ pub fn run(scenario: &Scenario, options: &PbftOptions) -> RunOutcome {
 /// Run PBFT with read-optimized clients (P6: read-only requests answered
 /// from current state with a 2f+1 reply quorum).
 pub fn run_with_read_optimization(scenario: &Scenario, options: &PbftOptions) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Pbft.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let mut cfg = PbftConfig::from_scenario(scenario, n);

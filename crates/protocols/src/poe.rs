@@ -25,12 +25,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, FutureBuffer, GenericClient, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// PoE messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -166,7 +168,7 @@ pub struct PoeReplica {
     vc_votes: crate::common::VcVotes,
     vc_timer: Option<TimerId>,
     pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, PoeMsg)>,
+    ahead: FutureBuffer<View, PoeMsg>,
     /// The latest new-view installed, kept to bring stale replicas up to
     /// date when their view-change messages reveal they are behind.
     last_new_view: Option<(View, Vec<crate::common::BatchEntry>)>,
@@ -202,7 +204,7 @@ impl PoeReplica {
             vc_votes: BTreeMap::new(),
             vc_timer: None,
             pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             last_new_view: None,
             view_timeout,
             batch_size,
@@ -349,32 +351,9 @@ impl PoeReplica {
             });
             let sm_start = self.sm.last_executed().next();
             for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute_speculative(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, true, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
                 self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: true,
-                };
                 ctx.charge_crypto(CryptoOp::MacGen);
                 ctx.send(
                     NodeId::Client(signed.request.id.client),
@@ -571,33 +550,8 @@ impl PoeReplica {
             self.propose(ctx);
         }
         // replay future messages
-        let cur = self.view;
-        let msg_view = |m: &PoeMsg| match m {
-            PoeMsg::Propose { view, .. }
-            | PoeMsg::Support { view, .. }
-            | PoeMsg::Certify { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: PoeMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -666,7 +620,10 @@ impl Actor<PoeMsg> for PoeReplica {
                     digest,
                     batch: batch.clone(),
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -714,7 +671,10 @@ impl Actor<PoeMsg> for PoeReplica {
                     digest,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -733,7 +693,10 @@ impl Actor<PoeMsg> for PoeReplica {
                     digest,
                     shares,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if shares < self.q.quorum() {
@@ -823,7 +786,7 @@ impl ClientProtocol for PoeClientProto {
 
 /// Run PoE under a scenario.
 pub fn run(scenario: &Scenario, behaviors: &[(ReplicaId, PoeBehavior)]) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Poe.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);

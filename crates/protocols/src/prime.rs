@@ -28,12 +28,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, FutureBuffer, GenericClient, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// Prime messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -194,7 +196,7 @@ pub struct PrimeReplica {
     exec_cursor: SeqNum,
     in_view_change: bool,
     vc_votes: crate::common::VcVotes,
-    future_msgs: Vec<(NodeId, PrimeMsg)>,
+    ahead: FutureBuffer<View, PrimeMsg>,
     /// τ7 heartbeat timer (performance monitor).
     monitor_timer: Option<TimerId>,
     heartbeat: SimDuration,
@@ -230,7 +232,7 @@ impl PrimeReplica {
             exec_cursor: SeqNum(0),
             in_view_change: false,
             vc_votes: BTreeMap::new(),
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             monitor_timer: None,
             heartbeat,
             order_bound,
@@ -469,36 +471,13 @@ impl PrimeReplica {
                 if self.executed_reqs.contains_key(&signed.request.id) {
                     continue;
                 }
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) = execute_request(&mut self.sm, &signed.request, view, false, ctx);
                 self.executed_reqs.insert(signed.request.id, ());
                 if let Some(key) = self.by_request.get(&signed.request.id) {
                     if let Some(e) = self.preorder.get_mut(key) {
                         e.ordered = true;
                     }
                 }
-                let reply = Reply {
-                    request: signed.request.id,
-                    view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
                 ctx.charge_crypto(CryptoOp::Sign);
                 ctx.send(
                     NodeId::Client(signed.request.id.client),
@@ -685,33 +664,8 @@ impl PrimeReplica {
                 .max(self.exec_cursor.next());
             self.propose_eligible(ctx);
         }
-        let cur = self.view;
-        let msg_view = |m: &PrimeMsg| match m {
-            PrimeMsg::PrePrepare { view, .. }
-            | PrimeMsg::Prepare { view, .. }
-            | PrimeMsg::Commit { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: PrimeMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            if self.future_msgs.len() < 10_000 {
-                self.future_msgs.push((from, msg));
-            }
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -777,7 +731,10 @@ impl Actor<PrimeMsg> for PrimeReplica {
                     digest,
                     batch: batch.clone(),
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -832,7 +789,10 @@ impl Actor<PrimeMsg> for PrimeReplica {
                     digest,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -851,7 +811,10 @@ impl Actor<PrimeMsg> for PrimeReplica {
                     digest,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::Verify);
@@ -911,7 +874,7 @@ impl ClientProtocol for PrimeClientProto {
 
 /// Run Prime under a scenario.
 pub fn run(scenario: &Scenario, behaviors: &[(ReplicaId, PrimeBehavior)]) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Prime.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let heartbeat = SimDuration(scenario.network.delta.0 / 2);

@@ -38,6 +38,7 @@ use bft_types::{
 };
 
 use crate::common::{run_to_completion_with_drain, Scenario, SignedRequest};
+use crate::registry::ProtocolId;
 use bft_core::workload::Workload;
 use rand::Rng;
 
@@ -477,7 +478,7 @@ impl Actor<QuMsg> for QuClient {
 
 /// Run Q/U under a scenario (n = 5f+1).
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(5 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Qu.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
 

@@ -17,9 +17,10 @@
 //! * [`Protocol`] — the option-carrying form for call sites that need
 //!   non-default knobs (Byzantine behaviors, alternate fanouts, sabotage).
 //!   `Protocol::from(id)` gives the defaults; [`Protocol::run`] dispatches.
-//! * [`registry`] — all entries with metadata: display name, minimum
-//!   replica count for a fault budget, and the chaos-campaign tolerance
-//!   envelope.
+//!
+//! Everything else about a protocol — display name, minimum replica count
+//! for a fault budget, execution semantics and the campaign tolerance
+//! envelopes — is a method of its [`ProtocolId`].
 
 use bft_sim::runner::RunOutcome;
 use bft_types::ReplicaId;
@@ -659,45 +660,6 @@ impl Protocol {
     }
 }
 
-/// One registry entry: id plus the metadata enumerating callers need.
-#[derive(Debug, Clone, Copy)]
-pub struct ProtocolEntry {
-    /// The protocol's id (defaults obtainable via `Protocol::from`).
-    pub id: ProtocolId,
-    /// Short stable display name.
-    pub name: &'static str,
-    /// Minimum replica count for fault budget `f`.
-    pub min_n: fn(usize) -> usize,
-    /// Chaos-campaign tolerance envelope.
-    pub tolerance: ChaosTolerance,
-    /// Byzantine-campaign tolerance envelope.
-    pub byz_tolerance: ByzantineTolerance,
-    /// Recovery-campaign tolerance envelope.
-    pub rec_tolerance: RecoveryTolerance,
-}
-
-/// The full protocol registry: experiments, smoke tests and the chaos
-/// campaign all enumerate this, so they agree on what "all protocols"
-/// means.
-pub fn registry() -> Vec<ProtocolEntry> {
-    ProtocolId::ALL
-        .iter()
-        .map(|&id| ProtocolEntry {
-            id,
-            name: id.name(),
-            min_n: match id {
-                ProtocolId::Zyzzyva5 | ProtocolId::Fab | ProtocolId::Qu => |f| 5 * f + 1,
-                ProtocolId::Fair => |f| 4 * f + 1,
-                ProtocolId::MinBft => |f| 2 * f + 1,
-                _ => |f| 3 * f + 1,
-            },
-            tolerance: id.tolerance(),
-            byz_tolerance: id.byzantine_tolerance(),
-            rec_tolerance: id.recovery_tolerance(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -708,34 +670,21 @@ mod tests {
         for id in ProtocolId::ALL {
             assert_eq!(Protocol::from(id).id(), id, "{id} does not round-trip");
         }
-    }
-
-    #[test]
-    fn registry_covers_all_ids_with_unique_names() {
-        let entries = registry();
-        assert_eq!(entries.len(), ProtocolId::ALL.len());
-        let names: std::collections::BTreeSet<&str> = entries.iter().map(|e| e.name).collect();
-        assert_eq!(names.len(), entries.len(), "duplicate registry names");
-        for e in &entries {
-            assert_eq!((e.min_n)(1), e.id.min_n(1));
-        }
+        let names: std::collections::BTreeSet<&str> =
+            ProtocolId::ALL.iter().map(|id| id.name()).collect();
+        assert_eq!(names.len(), ProtocolId::ALL.len(), "duplicate names");
     }
 
     #[test]
     fn every_entry_runs_and_stays_safe() {
-        let scenario = Scenario::builder()
-            .n_for_f(1)
-            .clients(1)
-            .requests(5)
-            .build();
-        for entry in registry() {
-            let out = entry.id.run(&scenario);
+        let scenario = Scenario::small(1).with_load(1, 5);
+        for id in ProtocolId::ALL {
+            let out = id.run(&scenario);
             SafetyAuditor::all_correct().assert_safe(&out.log);
             assert_eq!(
                 out.log.client_latencies().len(),
                 5,
-                "{} did not complete the workload",
-                entry.name
+                "{id} did not complete the workload"
             );
         }
     }

@@ -30,12 +30,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, FutureBuffer, GenericClient, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// SBFT protocol messages.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -218,7 +220,7 @@ pub struct SbftReplica {
     vc_votes: crate::common::VcVotes,
     vc_timer: Option<TimerId>,
     pending_reqs: Vec<RequestId>,
-    future_msgs: Vec<(NodeId, SbftMsg)>,
+    ahead: FutureBuffer<View, SbftMsg>,
     view_timeout: SimDuration,
     /// τ3 duration: how long the collector waits for the full share set.
     t3_timeout: SimDuration,
@@ -252,7 +254,7 @@ impl SbftReplica {
             vc_votes: BTreeMap::new(),
             vc_timer: None,
             pending_reqs: Vec::new(),
-            future_msgs: Vec::new(),
+            ahead: FutureBuffer::default(),
             view_timeout,
             t3_timeout,
             batch_size,
@@ -487,32 +489,11 @@ impl SbftReplica {
                 stage: Stage::Execution,
             });
             for signed in &batch {
-                let seq = self.sm.last_executed().next();
-                let work: u32 = signed
-                    .request
-                    .txn
-                    .ops
-                    .iter()
-                    .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                    .sum();
-                if work > 0 {
-                    ctx.charge(SimDuration(work as u64 * 1_000));
-                }
-                let (result, state_digest) = self.sm.execute(seq, &signed.request);
-                ctx.observe(Observation::Execute {
-                    seq,
-                    request: signed.request.id,
-                    state_digest,
-                });
+                let (_, reply) =
+                    execute_request(&mut self.sm, &signed.request, self.view, false, ctx);
+                let state_digest = reply.state_digest;
                 self.executed_reqs.insert(signed.request.id, ());
                 self.pending_reqs.retain(|r| *r != signed.request.id);
-                let reply = Reply {
-                    request: signed.request.id,
-                    view: self.view,
-                    result,
-                    state_digest,
-                    speculative: false,
-                };
                 // execution share to the collector (threshold reply)
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);
                 let leader = self.leader();
@@ -723,40 +704,8 @@ impl SbftReplica {
             self.propose_known(ctx);
         }
         // replay racing messages
-        let cur = self.view;
-        let msg_view = |m: &SbftMsg| match m {
-            SbftMsg::PrePrepare { view, .. }
-            | SbftMsg::SignShare { view, .. }
-            | SbftMsg::FullCommitProof { view, .. }
-            | SbftMsg::CommitProof { view, .. }
-            | SbftMsg::CommitShare { view, .. }
-            | SbftMsg::FullExecuteProof { view, .. } => Some(*view),
-            _ => None,
-        };
-        let (now, later): (Vec<_>, Vec<_>) = std::mem::take(&mut self.future_msgs)
-            .into_iter()
-            .partition(|(_, m)| msg_view(m) == Some(cur));
-        self.future_msgs = later
-            .into_iter()
-            .filter(|(_, m)| msg_view(m).is_some_and(|v| v > cur))
-            .collect();
-        for (from, msg) in now {
+        for (from, msg) in self.ahead.take(self.view) {
             self.on_message(from, &msg, ctx);
-        }
-    }
-
-    fn buffer(&mut self, from: NodeId, msg: SbftMsg) {
-        if self.future_msgs.len() < 10_000 {
-            self.future_msgs.push((from, msg));
-        }
-    }
-
-    fn view_ok(&mut self, from: NodeId, view: View, msg: SbftMsg) -> bool {
-        if view > self.view || (self.in_view_change && view == self.view) {
-            self.buffer(from, msg);
-            false
-        } else {
-            view == self.view && !self.in_view_change
         }
     }
 }
@@ -849,7 +798,10 @@ impl Actor<SbftMsg> for SbftReplica {
                     digest,
                     batch: batch.clone(),
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if from != NodeId::Replica(self.leader()) {
@@ -901,7 +853,10 @@ impl Actor<SbftMsg> for SbftReplica {
                     digest,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -920,7 +875,10 @@ impl Actor<SbftMsg> for SbftReplica {
                     digest,
                     shares,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if shares < self.q.n {
@@ -946,7 +904,10 @@ impl Actor<SbftMsg> for SbftReplica {
                     digest,
                     shares,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 if shares < self.q.quorum() {
@@ -967,7 +928,10 @@ impl Actor<SbftMsg> for SbftReplica {
                     digest,
                     from: r,
                 };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdShareVerify);
@@ -976,7 +940,10 @@ impl Actor<SbftMsg> for SbftReplica {
             SbftMsg::FullExecuteProof { view, seq, digest } => {
                 let (view, seq, digest) = (*view, *seq, *digest);
                 let m = SbftMsg::FullExecuteProof { view, seq, digest };
-                if !self.view_ok(from, view, m) {
+                if !self
+                    .ahead
+                    .admit(self.view, self.in_view_change, from, view, m)
+                {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::ThresholdVerify);
@@ -1065,7 +1032,7 @@ impl ClientProtocol for SbftClientProto {
 
 /// Run SBFT under a scenario.
 pub fn run(scenario: &Scenario) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Sbft.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let view_timeout = SimDuration(scenario.network.delta.0 * 4);
@@ -1188,7 +1155,6 @@ mod tests {
     /// the campaign's hold scales.
     #[test]
     fn delayed_collector_traffic_cannot_skip_or_fabricate_commits() {
-        use crate::registry::ProtocolId;
         use crate::suite::semantic_config;
         use bft_sim::campaign::check_outcome_with_semantics;
         use bft_sim::{AdversarySpec, Attack};
@@ -1198,12 +1164,9 @@ mod tests {
             (23_930, 0.59, 50),
             (31_446, 0.71, 17),
         ] {
-            let s = Scenario::builder()
-                .n_for_f(1)
-                .clients(1)
-                .requests(8)
-                .seed(seed)
-                .build()
+            let s = Scenario::small(1)
+                .with_load(1, 8)
+                .with_seed(seed)
                 .with_adversaries(vec![AdversarySpec::new(
                     0,
                     Attack::Delay {

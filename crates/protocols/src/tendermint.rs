@@ -25,12 +25,14 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    Digest, Op, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
+    Digest, QuorumRules, ReplicaId, Reply, RequestId, SeqNum, TimerKind, View, WireSize,
 };
 
 use crate::common::{
-    run_to_completion, ClientProtocol, GenericClient, Scenario, SignedRequest, SubmitPolicy,
+    execute_request, run_to_completion, ClientProtocol, GenericClient, QuorumTracker, Scenario,
+    SignedRequest, SubmitPolicy,
 };
+use crate::registry::ProtocolId;
 
 /// Vote kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, serde::Serialize)]
@@ -119,7 +121,7 @@ pub struct TendermintReplica {
     /// Batches by digest for execution.
     batches: BTreeMap<Digest, Vec<SignedRequest>>,
     /// Votes: (kind, height, round, digest) → voters.
-    votes: BTreeMap<(VoteKind, SeqNum, u32, Option<Digest>), Vec<ReplicaId>>,
+    votes: QuorumTracker<(VoteKind, SeqNum, u32, Option<Digest>)>,
     /// Lock: digest we precommitted, with its round.
     locked: Option<(Digest, u32)>,
     /// This replica received 2f+1 precommits for the previous height
@@ -169,7 +171,7 @@ impl TendermintReplica {
             round: 0,
             proposal: None,
             batches: BTreeMap::new(),
-            votes: BTreeMap::new(),
+            votes: QuorumTracker::new(),
             locked: None,
             informed: true, // height 1 has no predecessor to learn about
             opt_informed,
@@ -341,12 +343,9 @@ impl TendermintReplica {
         if height != self.height {
             return;
         }
-        let voters = self.votes.entry((kind, height, round, digest)).or_default();
-        if voters.contains(&from) {
+        let Some(count) = self.votes.vote((kind, height, round, digest), from) else {
             return;
-        }
-        voters.push(from);
-        let count = voters.len();
+        };
         if count < self.q.quorum() {
             return;
         }
@@ -391,31 +390,9 @@ impl TendermintReplica {
             if self.executed_reqs.contains_key(&signed.request.id) {
                 continue;
             }
-            let seq = self.sm.last_executed().next();
-            let work: u32 = signed
-                .request
-                .txn
-                .ops
-                .iter()
-                .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                .sum();
-            if work > 0 {
-                ctx.charge(SimDuration(work as u64 * 1_000));
-            }
-            let (result, state_digest) = self.sm.execute(seq, &signed.request);
-            ctx.observe(Observation::Execute {
-                seq,
-                request: signed.request.id,
-                state_digest,
-            });
+            let (_, reply) =
+                execute_request(&mut self.sm, &signed.request, View(height.0), false, ctx);
             self.executed_reqs.insert(signed.request.id, ());
-            let reply = Reply {
-                request: signed.request.id,
-                view: View(height.0),
-                result,
-                state_digest,
-                speculative: false,
-            };
             ctx.charge_crypto(CryptoOp::Sign);
             ctx.send(
                 NodeId::Client(signed.request.id.client),
@@ -436,7 +413,7 @@ impl TendermintReplica {
         self.proposal = None;
         self.locked = None;
         self.decided = false;
-        self.votes.retain(|(_, h, _, _), _| *h >= height);
+        self.votes.retain(|(_, h, _, _)| *h >= height);
         self.voted.retain(|(_, h, _), _| *h >= height);
         if let Some(t) = self.round_timer.take() {
             ctx.cancel_timer(t);
@@ -634,7 +611,7 @@ impl ClientProtocol for TmClientProto {
 /// Run Tendermint. `informed_leader_opt` enables the responsive
 /// optimization the paper attributes to HotStuff-2.
 pub fn run(scenario: &Scenario, informed_leader_opt: bool) -> RunOutcome {
-    let n = scenario.n(3 * scenario.f + 1);
+    let n = scenario.n(ProtocolId::Tendermint.min_n(scenario.f));
     let q = QuorumRules { n, f: scenario.f };
     let store = scenario.key_store();
     let delta = scenario.network.delta;

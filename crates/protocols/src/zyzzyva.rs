@@ -31,11 +31,12 @@ use bft_sim::runner::RunOutcome;
 use bft_sim::{Actor, Context, NodeId, Observation, SimDuration, SimTime, Stage, TimerId};
 use bft_state::StateMachine;
 use bft_types::{
-    ClientId, Digest, Op, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
+    ClientId, Digest, QuorumRules, ReplicaId, Reply, Request, RequestId, SeqNum, TimerKind,
     TxnResult, View, WireSize,
 };
 
-use crate::common::{run_to_completion, Scenario, SignedRequest};
+use crate::common::{execute_request, run_to_completion, QuorumTracker, Scenario, SignedRequest};
+use crate::registry::ProtocolId;
 use bft_core::client::ReplyCollector;
 use bft_core::workload::Workload;
 
@@ -229,23 +230,7 @@ impl ZyzzyvaReplica {
 
     fn execute_ready(&mut self, ctx: &mut Context<'_, ZyzzyvaMsg>) {
         while let Some(signed) = self.pending.remove(&self.sm.last_executed().next()) {
-            let seq = self.sm.last_executed().next();
-            let work: u32 = signed
-                .request
-                .txn
-                .ops
-                .iter()
-                .map(|op| if let Op::Work(w) = op { *w } else { 0 })
-                .sum();
-            if work > 0 {
-                ctx.charge(SimDuration(work as u64 * 1_000));
-            }
-            let (result, state_digest) = self.sm.execute_speculative(seq, &signed.request);
-            ctx.observe(Observation::Execute {
-                seq,
-                request: signed.request.id,
-                state_digest,
-            });
+            let (seq, reply) = execute_request(&mut self.sm, &signed.request, self.view, true, ctx);
             ctx.observe(Observation::Commit {
                 seq,
                 view: self.view,
@@ -254,13 +239,6 @@ impl ZyzzyvaReplica {
             });
             self.executed.insert(signed.request.id, seq);
             self.pending_confirm.retain(|r| *r != signed.request.id);
-            let reply = Reply {
-                request: signed.request.id,
-                view: self.view,
-                result,
-                state_digest,
-                speculative: true,
-            };
             ctx.charge_crypto(CryptoOp::MacGen);
             ctx.send(
                 NodeId::Client(signed.request.id.client),
@@ -567,7 +545,7 @@ pub struct ZyzzyvaClient {
     in_flight: Option<(RequestId, SignedRequest, SimTime)>,
     collector: ReplyCollector,
     /// Local-commit acks per (request, state digest).
-    lc_acks: BTreeMap<Digest, Vec<ReplicaId>>,
+    lc_acks: QuorumTracker<Digest>,
     /// History position reported alongside each state digest.
     seq_of_digest: BTreeMap<Digest, SeqNum>,
     phase: ClientPhase,
@@ -600,7 +578,7 @@ impl ZyzzyvaClient {
             sent: 0,
             in_flight: None,
             collector: ReplyCollector::new(),
-            lc_acks: BTreeMap::new(),
+            lc_acks: QuorumTracker::new(),
             seq_of_digest: BTreeMap::new(),
             phase: ClientPhase::Fast,
             leader_hint: ReplicaId(0),
@@ -723,11 +701,8 @@ impl Actor<ZyzzyvaMsg> for ZyzzyvaClient {
                     return;
                 }
                 ctx.charge_crypto(CryptoOp::MacVerify);
-                let acks = self.lc_acks.entry(*state_digest).or_default();
-                if !acks.contains(r) {
-                    acks.push(*r);
-                }
-                if acks.len() >= self.q.quorum() {
+                self.lc_acks.vote(*state_digest, *r);
+                if self.lc_acks.count(state_digest) >= self.q.quorum() {
                     self.complete(false, ctx);
                 }
             }
@@ -779,11 +754,11 @@ pub enum ZyzzyvaVariant {
 pub fn run(scenario: &Scenario, variant: ZyzzyvaVariant) -> RunOutcome {
     let (n, fast_quorum) = match variant {
         ZyzzyvaVariant::Classic => {
-            let n = scenario.n(3 * scenario.f + 1);
+            let n = scenario.n(ProtocolId::Zyzzyva.min_n(scenario.f));
             (n, n)
         }
         ZyzzyvaVariant::Five => {
-            let n = scenario.n(5 * scenario.f + 1);
+            let n = scenario.n(ProtocolId::Zyzzyva5.min_n(scenario.f));
             (n, 4 * scenario.f + 1)
         }
     };

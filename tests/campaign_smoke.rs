@@ -13,7 +13,7 @@ use bft_bench::campaign::{
     profile_for, run_campaign, run_case_with, CampaignConfig, CampaignReport,
 };
 use bft_protocols::pbft::{PbftOptions, PbftSabotage};
-use bft_protocols::registry::{registry, Protocol, ProtocolId};
+use bft_protocols::registry::{Protocol, ProtocolId};
 
 #[test]
 fn smoke_campaign_is_clean() {
@@ -76,11 +76,7 @@ fn byzantine_smoke_campaign_is_clean_and_deterministic() {
 #[test]
 fn sabotaged_pbft_is_caught_and_shrunk() {
     let cfg = CampaignConfig::smoke();
-    let entry = registry()
-        .into_iter()
-        .find(|e| e.id == ProtocolId::Pbft)
-        .unwrap();
-    let profile = profile_for(&entry, cfg.f, cfg.clients as u64);
+    let profile = profile_for(ProtocolId::Pbft, cfg.f, cfg.clients as u64);
     let broken = |s: &bft_protocols::Scenario| {
         Protocol::Pbft(PbftOptions {
             sabotage: PbftSabotage::DisableViewChange,
@@ -156,11 +152,7 @@ fn execution_drop_is_caught_by_log_checker() {
         workload: untrusted_txn::prelude::WorkloadConfig::log_append(),
         ..CampaignConfig::smoke()
     };
-    let entry = registry()
-        .into_iter()
-        .find(|e| e.id == ProtocolId::Pbft)
-        .unwrap();
-    let profile = profile_for(&entry, cfg.f, cfg.clients as u64);
+    let profile = profile_for(ProtocolId::Pbft, cfg.f, cfg.clients as u64);
     let broken = |s: &bft_protocols::Scenario| {
         Protocol::Pbft(PbftOptions {
             sabotage: PbftSabotage::DropExecution(2),

@@ -119,7 +119,7 @@ fn batching_preserves_final_state() {
 // ---------------------------------------------------------------------------
 
 mod matrix {
-    use bft_protocols::registry::registry;
+    use bft_protocols::registry::ProtocolId;
     use bft_protocols::suite::{check_run, workload_suite};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -127,7 +127,7 @@ mod matrix {
     /// assert completion + digest agreement (via the run's own auditor
     /// path) + semantic-checker pass, and return a deterministic summary
     /// line.
-    fn run_cell(protocol: bft_protocols::registry::ProtocolId, family: &str, seed: u64) -> String {
+    fn run_cell(protocol: ProtocolId, family: &str, seed: u64) -> String {
         let entry = bft_protocols::suite::suite_entry(family).expect("family exists");
         let s = entry.scenario(1, 2, 5, seed);
         let out = protocol.run(&s);
@@ -156,10 +156,10 @@ mod matrix {
     /// deterministic (input) order.
     fn run_matrix(seeds: std::ops::Range<u64>, threads: usize) -> Vec<String> {
         let mut cells = Vec::new();
-        for entry in registry() {
+        for id in ProtocolId::ALL {
             for family in workload_suite() {
                 for seed in seeds.clone() {
-                    cells.push((entry.id, family.name, seed));
+                    cells.push((id, family.name, seed));
                 }
             }
         }
@@ -196,7 +196,7 @@ mod matrix {
     fn every_protocol_passes_every_workload_checker() {
         let threads = bft_bench::thread_count(usize::MAX);
         let lines = run_matrix(0..15, threads);
-        assert_eq!(lines.len(), registry().len() * 4 * 15);
+        assert_eq!(lines.len(), ProtocolId::ALL.len() * 4 * 15);
     }
 
     /// The matrix is deterministic and thread-count invariant: the same

@@ -102,7 +102,7 @@ const GOLDEN: [(&str, &str); 17] = [
 #[test]
 fn zero_knob_sim_output_is_byte_identical_to_pre_refactor_tree() {
     let by_name: std::collections::BTreeMap<&str, ProtocolId> =
-        registry().iter().map(|e| (e.name, e.id)).collect();
+        ProtocolId::ALL.iter().map(|&id| (id.name(), id)).collect();
     assert_eq!(by_name.len(), GOLDEN.len(), "registry size drifted");
     for (name, want) in GOLDEN {
         let id = by_name[name];
@@ -148,28 +148,28 @@ fn threaded_engine_semantic_smoke_matrix() {
     // run must complete and pass the same consistency checkers the sim
     // engine is held to. Ordering across nodes is wall-clock here, so this
     // checks semantics, not byte-level determinism.
-    for entry in registry() {
+    for id in ProtocolId::ALL {
         for family in workload_suite() {
             let scenario = threaded_scenario(&family);
-            let out = entry.id.run(&scenario);
+            let out = id.run(&scenario);
             assert_eq!(
                 out.log.client_latencies().len(),
                 scenario.total_requests() as usize,
                 "{}/{}: threaded run incomplete",
-                entry.name,
+                id.name(),
                 family.name
             );
             assert!(
                 out.metrics.wall_threads > 0,
                 "{}/{}: threaded run did not record thread count",
-                entry.name,
+                id.name(),
                 family.name
             );
-            let violations = check_run(entry.id, &scenario, &out);
+            let violations = check_run(id, &scenario, &out);
             assert!(
                 violations.is_empty(),
                 "{}/{}: {violations:?}",
-                entry.name,
+                id.name(),
                 family.name
             );
             SafetyAuditor::all_correct().assert_safe(&out.log);
