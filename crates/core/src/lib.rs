@@ -25,6 +25,7 @@
 //!   latency, message complexity, load balance, fault counters.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod choices;
 pub mod client;

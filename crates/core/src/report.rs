@@ -162,8 +162,8 @@ mod tests {
                     },
                     sent_at: SimTime((ts - 1) * 1_000_000),
                     fast_path: ts % 2 == 0,
-                    txn: Transaction::default(),
-                    result: TxnResult { reads: vec![] },
+                    txn: Box::new(Transaction::default()),
+                    result: Box::new(TxnResult { reads: vec![] }),
                 },
             );
         }

@@ -4,6 +4,10 @@
 //! identity, and as the compression function underneath HMAC and the
 //! simulated signature scheme. Verified against the NIST test vectors in the
 //! unit tests below.
+//!
+//! The compression function runs on the x86-64 SHA extensions when the CPU
+//! has them, and in portable code everywhere else; the tests check that the
+//! two agree. The path is chosen by run-time CPU detection alone.
 
 /// Round constants: the first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
@@ -71,38 +75,36 @@ impl Hasher {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
         // whole blocks straight from input
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            let block = block.try_into().expect("chunks_exact(64)");
+            compress(&mut self.state, block);
         }
         // stash the tail
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
     /// Finish and produce the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.len * 8;
         // padding: 0x80, zeros, 8-byte big-endian bit length
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let bit_len = self.len * 8;
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
         }
-        // manual length append (bypasses the len counter on purpose)
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
 
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -110,56 +112,174 @@ impl Hasher {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+/// Compress one block into `state`, on the CPU's SHA extensions when it has
+/// them and in portable code otherwise. Both give the same result.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress(state, block) {
+        return;
+    }
+    compress_portable(state, block);
+}
+
+/// The FIPS 180-4 compression function in portable code: the only path on
+/// CPUs without the SHA extensions, and the reference the tests compare the
+/// accelerated path against.
+fn compress_portable(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for i in 0..16 {
+        w[i] = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+    state[5] = state[5].wrapping_add(f);
+    state[6] = state[6].wrapping_add(g);
+    state[7] = state[7].wrapping_add(h);
+}
+
+/// The compression function on the x86-64 SHA extensions (SHA-NI). This
+/// module holds the crate's only `unsafe` code.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod shani {
+    use std::arch::x86_64::*;
+
+    use super::K;
+
+    /// Compress one block into `state`. On a CPU without the SHA
+    /// extensions, or without the SSE levels the kernel's shuffles and
+    /// blends need, return false and leave `state` as it was. `std` caches
+    /// the feature detection, so the check is a few loads.
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) -> bool {
+        let available = is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1");
+        if available {
+            // SAFETY: the detection above has just confirmed that the CPU
+            // supports every feature `compress_sha` is compiled for (sha,
+            // sse2, ssse3, sse4.1).
+            unsafe { compress_sha(state, block) };
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        available
+    }
+
+    /// Four rounds: the two `sha256rnds2` steps over `w + K[4i..4i + 4]`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, i: usize) {
+        // SAFETY: the indexing checks that `K[4 * i..4 * i + 4]` is inside
+        // `K`; it is 16 bytes, and `loadu` needs no alignment.
+        let k = unsafe { _mm_loadu_si128(K[4 * i..4 * i + 4].as_ptr().cast()) };
+        let wk = _mm_add_epi32(w, k);
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The message schedule: the next four words from the previous 16.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let t = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(t, w3)
+    }
+
+    /// One block on the SHA extensions. Calling it needs `unsafe` outside
+    /// functions compiled for the same features; [`compress`] checks that
+    /// the CPU has them first.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn compress_sha(state: &mut [u32; 8], block: &[u8; 64]) {
+        // Byte order within each 32-bit word: SHA-256 reads words big-endian.
+        let be = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        // SAFETY: both halves of `state` are 16 bytes inside the array, and
+        // `loadu` needs no alignment.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state[..4].as_ptr().cast()),
+                _mm_loadu_si128(state[4..].as_ptr().cast()),
+            )
+        };
+        // The round instruction keeps the state as (A, B, E, F) and
+        // (C, D, G, H), highest lane first.
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+        let (abef_in, cdgh_in) = (abef, cdgh);
+
+        // SAFETY: the four 16-byte loads cover exactly the 64-byte block;
+        // `loadu` needs no alignment.
+        let [mut w0, mut w1, mut w2, mut w3] = unsafe {
+            let p = block.as_ptr().cast::<__m128i>();
+            [p, p.add(1), p.add(2), p.add(3)].map(|q| _mm_shuffle_epi8(_mm_loadu_si128(q), be))
+        };
+        rounds4(&mut abef, &mut cdgh, w0, 0);
+        rounds4(&mut abef, &mut cdgh, w1, 1);
+        rounds4(&mut abef, &mut cdgh, w2, 2);
+        rounds4(&mut abef, &mut cdgh, w3, 3);
+        for i in 1..4 {
+            w0 = schedule(w0, w1, w2, w3);
+            rounds4(&mut abef, &mut cdgh, w0, 4 * i);
+            w1 = schedule(w1, w2, w3, w0);
+            rounds4(&mut abef, &mut cdgh, w1, 4 * i + 1);
+            w2 = schedule(w2, w3, w0, w1);
+            rounds4(&mut abef, &mut cdgh, w2, 4 * i + 2);
+            w3 = schedule(w3, w0, w1, w2);
+            rounds4(&mut abef, &mut cdgh, w3, 4 * i + 3);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: both halves of `state` are 16 bytes inside the array, and
+        // `storeu` needs no alignment.
+        unsafe {
+            _mm_storeu_si128(state[..4].as_mut_ptr().cast(), dcba);
+            _mm_storeu_si128(state[4..].as_mut_ptr().cast(), hgef);
         }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
     }
 }
 
@@ -172,7 +292,70 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// SHA-256 of `data` with FIPS 180-4 padding written out separately and
+    /// every block compressed by the portable function alone.
+    fn sha256_portable(data: &[u8]) -> [u8; 32] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in padded.chunks_exact(64) {
+            compress_portable(&mut state, block.try_into().unwrap());
+        }
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    proptest! {
+        // enough cases that every length mod 64, and so every padding
+        // layout, is drawn
+        #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+        /// The dispatching hasher (the SHA extensions where the CPU has
+        /// them) agrees with the portable compression function over random
+        /// lengths and random `update` split points.
+        #[test]
+        fn hasher_matches_portable_reference(
+            data in prop::collection::vec(any::<u8>(), 0..=1024),
+            cuts in prop::collection::vec(0usize..=1024, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut h = Hasher::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                h.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(h.finalize(), sha256_portable(&data));
+        }
+
+        /// Both compression functions map a random state and block to the
+        /// same state. On a CPU without the SHA extensions the dispatching
+        /// function is the portable one, and this compares it with itself.
+        #[test]
+        fn compression_functions_agree(
+            state in prop::collection::vec(any::<u32>(), 8),
+            block in prop::collection::vec(any::<u8>(), 64),
+        ) {
+            let state: [u32; 8] = state.try_into().unwrap();
+            let block: [u8; 64] = block.try_into().unwrap();
+            let (mut fast, mut portable) = (state, state);
+            compress(&mut fast, &block);
+            compress_portable(&mut portable, &block);
+            prop_assert_eq!(fast, portable);
+        }
+    }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()

@@ -39,6 +39,7 @@
 //! and duplicate detection to be meaningful.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod cost;
 pub mod hash;

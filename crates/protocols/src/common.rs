@@ -653,8 +653,8 @@ impl<P: ClientProtocol> GenericClient<P> {
                 request: reply.request,
                 sent_at: pending.sent_at,
                 fast_path: !pending.retransmitted && agreed.speculative,
-                txn: pending.signed.request.txn,
-                result: agreed.result.clone(),
+                txn: Box::new(pending.signed.request.txn),
+                result: Box::new(agreed.result.clone()),
             });
         }
     }
@@ -718,8 +718,8 @@ impl<P: ClientProtocol> Actor<P::Msg> for GenericClient<P> {
                 request: current,
                 sent_at,
                 fast_path: !self.retransmitted && agreed.speculative,
-                txn,
-                result: agreed.result.clone(),
+                txn: Box::new(txn),
+                result: Box::new(agreed.result.clone()),
             });
             self.submit_next(ctx);
         }

@@ -27,6 +27,7 @@
 //! protocols under byte-identical conditions.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod common;
 pub mod registry;

@@ -1801,8 +1801,8 @@ impl Actor<PbftMsg> for PbftReadClient {
                 request: current,
                 sent_at,
                 fast_path: fast,
-                txn,
-                result: agreed.result.clone(),
+                txn: Box::new(txn),
+                result: Box::new(agreed.result.clone()),
             });
             self.submit_next(ctx);
         }

@@ -20,7 +20,7 @@
 //! `O(Δ + heartbeat)` instead of `O(view-timeout)` — reproduced by
 //! experiment DC12 against PBFT under the same delay adversary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
@@ -187,6 +187,10 @@ pub struct PrimeReplica {
     slots: BTreeMap<SeqNum, PrimeSlot>,
     /// Preorder state keyed by (origin, origin_seq).
     preorder: BTreeMap<(ReplicaId, u64), PreorderEntry>,
+    /// Eligible preorder entries in eligibility order, `(eligible_at, key)`.
+    /// Entries that were since ordered or executed are dropped lazily when
+    /// they reach the front; a released entry is put back.
+    eligible: BTreeSet<(SimTime, (ReplicaId, u64))>,
     /// Requests this replica originated (origin_seq counter).
     my_origin_seq: u64,
     /// Request id → preorder key (dedup).
@@ -225,6 +229,7 @@ impl PrimeReplica {
             next_seq: SeqNum(1),
             slots: BTreeMap::new(),
             preorder: BTreeMap::new(),
+            eligible: BTreeSet::new(),
             my_origin_seq: 0,
             by_request: BTreeMap::new(),
             executed_reqs: BTreeMap::new(),
@@ -331,6 +336,7 @@ impl PrimeReplica {
         }
         if entry.eligible_at.is_none() && entry.acks.len() >= quorum {
             entry.eligible_at = Some(now);
+            self.eligible.insert((now, key));
             ctx.observe(Observation::Marker { label: "eligible" });
             if self.is_leader() {
                 self.propose_eligible(ctx);
@@ -346,28 +352,18 @@ impl PrimeReplica {
         }
         loop {
             // eligible, unordered, in eligibility order
-            let mut todo: Vec<((ReplicaId, u64), SimTime)> = self
-                .preorder
-                .iter()
-                .filter(|(_, e)| {
-                    e.eligible_at.is_some()
-                        && !e.ordered
-                        && !self.executed_reqs.contains_key(&e.request.request.id)
-                })
-                .map(|(k, e)| (*k, e.eligible_at.unwrap()))
-                .collect();
-            if todo.is_empty() {
-                break;
+            let mut batch = Vec::new();
+            while batch.len() < self.batch_size {
+                let Some((_, key)) = self.oldest_waiting() else {
+                    break;
+                };
+                self.eligible.pop_first();
+                let entry = self.preorder.get_mut(&key).expect("indexed entries exist");
+                entry.ordered = true;
+                batch.push(entry.request.clone());
             }
-            todo.sort_by_key(|(k, t)| (*t, *k));
-            let take: Vec<(ReplicaId, u64)> =
-                todo.iter().take(self.batch_size).map(|(k, _)| *k).collect();
-            let batch: Vec<SignedRequest> = take
-                .iter()
-                .map(|k| self.preorder.get(k).expect("exists").request.clone())
-                .collect();
-            for k in &take {
-                self.preorder.get_mut(k).expect("exists").ordered = true;
+            if batch.is_empty() {
+                break;
             }
             let seq = self.next_seq;
             self.next_seq = self.next_seq.next();
@@ -493,6 +489,19 @@ impl PrimeReplica {
         }
     }
 
+    /// The oldest eligible request that is neither ordered nor executed,
+    /// after dropping the stale entries in front of it from the index.
+    fn oldest_waiting(&mut self) -> Option<(SimTime, (ReplicaId, u64))> {
+        while let Some(&(at, key)) = self.eligible.first() {
+            let entry = &self.preorder[&key];
+            if !entry.ordered && !self.executed_reqs.contains_key(&entry.request.request.id) {
+                return Some((at, key));
+            }
+            self.eligible.pop_first();
+        }
+        None
+    }
+
     // ---- the performance monitor (τ7) --------------------------------------
 
     fn check_leader_performance(&mut self, ctx: &mut Context<'_, PrimeMsg>) {
@@ -501,13 +510,7 @@ impl PrimeReplica {
         }
         let now = ctx.now();
         // the oldest eligible request not yet ordered by the leader
-        let oldest: Option<SimTime> = self
-            .preorder
-            .values()
-            .filter(|e| !e.ordered && !self.executed_reqs.contains_key(&e.request.request.id))
-            .filter_map(|e| e.eligible_at)
-            .min();
-        if let Some(t) = oldest {
+        if let Some((t, _)) = self.oldest_waiting() {
             if now.since(t) > self.order_bound {
                 // the leader is provably underperforming: a correct leader
                 // orders an eligible request within the bound
@@ -617,6 +620,9 @@ impl PrimeReplica {
                 if let Some(e) = self.preorder.get_mut(key) {
                     if !self.executed_reqs.contains_key(&id) {
                         e.ordered = false;
+                        if let Some(at) = e.eligible_at {
+                            self.eligible.insert((at, *key));
+                        }
                     }
                 }
             }
@@ -953,20 +959,27 @@ mod tests {
     #[test]
     fn delay_attack_is_detected_and_leader_replaced() {
         // the adversarial leader delays each proposal by 25 ms — below
-        // PBFT's 40 ms view-change timeout, far above Prime's order bound
+        // PBFT's 40 ms view-change timeout, far above Prime's order bound.
+        // In the second input (4 clients, batches of 4) the slots the new
+        // view releases carry several requests each back to the eligible
+        // index.
         let delay = SimDuration::from_millis(25);
-        let s = Scenario::small(1).with_load(1, 20);
-        let out = run(&s, &[(ReplicaId(0), PrimeBehavior::DelayLeader(delay))]);
-        SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
-        assert!(
-            out.log.marker_count("leader-underperforming") > 0,
-            "τ7 must catch it"
-        );
-        assert!(
-            out.log.max_view() >= View(1),
-            "the slow leader must be replaced"
-        );
-        assert_eq!(accepted(&out), 20);
+        for s in [
+            Scenario::small(1).with_load(1, 20),
+            Scenario::small(1).with_load(4, 20).with_batch(4),
+        ] {
+            let out = run(&s, &[(ReplicaId(0), PrimeBehavior::DelayLeader(delay))]);
+            SafetyAuditor::excluding(vec![NodeId::replica(0)]).assert_safe(&out.log);
+            assert!(
+                out.log.marker_count("leader-underperforming") > 0,
+                "τ7 must catch it"
+            );
+            assert!(
+                out.log.max_view() >= View(1),
+                "the slow leader must be replaced"
+            );
+            assert_eq!(accepted(&out), s.total_requests() as usize);
+        }
     }
 
     #[test]

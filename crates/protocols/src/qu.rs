@@ -26,6 +26,7 @@
 //! operations). Multi-object transactions would need Q/U's multi-object
 //! repair protocol, which the paper does not evaluate.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -80,6 +81,8 @@ impl WireSize for QuMsg {
 #[derive(Debug, Clone, Default)]
 pub struct ObjectStore {
     objects: BTreeMap<Key, (u64, Value)>,
+    /// Digest of `objects`, cleared by every applied write.
+    digest: OnceCell<Digest>,
 }
 
 impl ObjectStore {
@@ -99,15 +102,19 @@ impl ObjectStore {
         if expected >= current {
             let new_version = expected + 1;
             self.objects.insert(key, (new_version, value));
+            self.digest.take();
             (true, new_version)
         } else {
             (false, current)
         }
     }
 
-    /// Digest over the full object state (for convergence checks).
+    /// Digest over the full object state (for convergence checks). It is
+    /// computed again only after a write was applied.
     pub fn digest(&self) -> Digest {
-        bft_crypto::digest_of(&self.objects.iter().collect::<Vec<_>>())
+        *self
+            .digest
+            .get_or_init(|| bft_crypto::digest_of(&self.objects.iter().collect::<Vec<_>>()))
     }
 }
 
@@ -425,8 +432,8 @@ impl Actor<QuMsg> for QuClient {
                 request: current,
                 sent_at,
                 fast_path: self.answers.len() == 1,
-                txn: signed.request.txn.clone(),
-                result: TxnResult { reads },
+                txn: Box::new(signed.request.txn.clone()),
+                result: Box::new(TxnResult { reads }),
             });
             self.submit_next(ctx);
             return;
@@ -504,6 +511,27 @@ mod tests {
 
     fn accepted(out: &RunOutcome) -> usize {
         out.log.client_latencies().len()
+    }
+
+    #[test]
+    fn cached_digest_tracks_the_objects() {
+        let fresh = |s: &ObjectStore| bft_crypto::digest_of(&s.objects.iter().collect::<Vec<_>>());
+        let mut s = ObjectStore::default();
+        assert_eq!(s.digest(), fresh(&s));
+        assert_eq!(s.write(1, 10, 0), (true, 1));
+        assert_eq!(s.digest(), fresh(&s));
+        assert_eq!(s.get(1), (1, Some(10)));
+        assert_eq!(s.get(2), (0, None));
+        assert_eq!(s.digest(), fresh(&s));
+        let before = s.digest();
+        assert_eq!(s.write(1, 11, 0), (false, 1), "behind: refused");
+        assert_eq!(s.digest(), before);
+        assert_eq!(s.digest(), fresh(&s));
+        assert_eq!(s.write(1, 12, 1), (true, 2));
+        assert_eq!(s.write(2, 20, 5), (true, 6), "ahead: fast-forward");
+        assert_ne!(s.digest(), before);
+        assert_eq!(s.digest(), fresh(&s));
+        assert_eq!(s.clone().digest(), fresh(&s));
     }
 
     #[test]

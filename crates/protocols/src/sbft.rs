@@ -22,7 +22,7 @@
 //! the shares each replica produced, so any certified-but-undelivered
 //! decision is re-proposed).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bft_crypto::{digest_of, CryptoOp, KeyStore};
@@ -273,11 +273,12 @@ impl SbftReplica {
         if !self.is_leader() || self.in_view_change {
             return;
         }
-        let in_slots: Vec<RequestId> = self
+        // every slot at or below the execution cursor has executed
+        let in_slots: BTreeSet<RequestId> = self
             .slots
-            .values()
-            .filter(|s| !s.executed)
-            .flat_map(|s| s.batch.iter().map(|r| r.request.id))
+            .range(self.exec_cursor.next()..)
+            .filter(|(_, s)| !s.executed)
+            .flat_map(|(_, s)| s.batch.iter().map(|r| r.request.id))
             .collect();
         let todo: Vec<SignedRequest> = self
             .known
@@ -493,6 +494,7 @@ impl SbftReplica {
                     execute_request(&mut self.sm, &signed.request, self.view, false, ctx);
                 let state_digest = reply.state_digest;
                 self.executed_reqs.insert(signed.request.id, ());
+                self.known.remove(&signed.request.id);
                 self.pending_reqs.retain(|r| *r != signed.request.id);
                 // execution share to the collector (threshold reply)
                 ctx.charge_crypto(CryptoOp::ThresholdShareGen);

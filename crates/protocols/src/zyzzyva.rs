@@ -651,8 +651,8 @@ impl ZyzzyvaClient {
             request: id,
             sent_at,
             fast_path: fast,
-            txn: signed.request.txn,
-            result,
+            txn: Box::new(signed.request.txn),
+            result: Box::new(result),
         });
         self.submit_next(ctx);
     }

@@ -181,8 +181,8 @@ pub fn check_semantics(log: &ObservationLog, cfg: &SemanticConfig) -> Vec<Semant
             if seen.insert(*request) {
                 accepted.push(Accepted {
                     id: *request,
-                    txn: txn.clone(),
-                    result: result.clone(),
+                    txn: (**txn).clone(),
+                    result: (**result).clone(),
                     invoked: *sent_at,
                     completed: e.at,
                 });

@@ -48,6 +48,7 @@
 //! digests at the same sequence number — after (or during) every experiment.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adversary;
 pub mod audit;

@@ -114,10 +114,11 @@ pub enum Observation {
         /// Whether acceptance used the speculative (fast) path.
         fast_path: bool,
         /// The transaction the request carried (makes accepted histories
-        /// self-contained for the semantic checkers).
-        txn: Transaction,
+        /// self-contained for the semantic checkers). Boxed, like `result`,
+        /// to keep every log entry small; serde writes a box as its content.
+        txn: Box<Transaction>,
         /// The agreed execution result the client accepted.
-        result: TxnResult,
+        result: Box<TxnResult>,
     },
     /// Protocol-specific marker (e.g. "fallback triggered", "fast path").
     Marker {
@@ -293,8 +294,8 @@ mod tests {
                 request: req,
                 sent_at: SimTime(400),
                 fast_path: true,
-                txn: Transaction::default(),
-                result: TxnResult { reads: vec![] },
+                txn: Box::new(Transaction::default()),
+                result: Box::new(TxnResult { reads: vec![] }),
             },
         );
         let lat = log.client_latencies();

@@ -599,8 +599,8 @@ mod tests {
                 },
                 sent_at: self.sent_at,
                 fast_path: false,
-                txn: Transaction::default(),
-                result: TxnResult { reads: vec![] },
+                txn: Box::new(Transaction::default()),
+                result: Box::new(TxnResult { reads: vec![] }),
             });
         }
     }

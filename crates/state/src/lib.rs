@@ -13,6 +13,7 @@
 //! auditor checks across replicas.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod app;
 pub mod checkpoint;

@@ -16,6 +16,7 @@
 //! which those dimensions are expressed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod ids;

@@ -41,6 +41,8 @@
 //! geo-replication and the design-space explorer, and `crates/bench` for
 //! the full experiment suite (`cargo bench --bench experiments`).
 
+#![forbid(unsafe_code)]
+
 pub use bft_core as core;
 pub use bft_crypto as crypto;
 pub use bft_protocols as protocols;
